@@ -269,7 +269,8 @@ class PermutationGroup:
             lvl.trans = {lvl.point: self._ident}
             lvl.invtrans = {lvl.point: self._ident}
             self._extend_orbit(lvl)
-            assert set(lvl.trans) == orbit  # reduced set spans the same orbit
+            if set(lvl.trans) != orbit:
+                raise AssertionError("pruned generators no longer span the basic orbit")
 
     def _check_level(self, i: int):
         """Sift every Schreier generator of level i through the chain below.

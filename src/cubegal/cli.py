@@ -23,6 +23,8 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 from . import evidence, theorems
 from .cubes import cube_model
@@ -31,6 +33,47 @@ from .perm import print_cycles
 from .polyq import discriminant, load_poly
 from .sqclass import square_class_equal
 from .theorems import CheckReport, summarize
+
+
+class _UsageError(Exception):
+    """Bad input named on the command line; reported with exit status 2."""
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _load_poly(path: str):
+    try:
+        f = load_poly(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"--poly {path}: {exc}") from None
+    if f.degree < 1:
+        raise _UsageError(f"--poly {path}: polynomial must have degree at least 1")
+    return f
+
+
+def _exact_str(value: Fraction) -> str:
+    """Exact decimal text of a rational of any length.
+
+    str(int) refuses more than sys.get_int_max_str_digits() digits; a
+    Decimal built from an int is exact and prints without that limit.
+    """
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _emit(args, text_lines: list[str], checks: list[CheckReport]) -> int:
@@ -104,22 +147,21 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    f = load_poly(args.poly)
+    f = _load_poly(args.poly)
     start = time.perf_counter()
     d = discriminant(f)
     ms = int((time.perf_counter() - start) * 1000)
-    d_str = str(d.numerator) if d.denominator == 1 else f"{d.numerator}/{d.denominator}"
+    d_str = _exact_str(d)
     checks = [CheckReport(
         check_id="disc.value", status="pass",
         expected="exact discriminant via fraction-free resultant",
         actual=d_str, citation="resultant-based discriminant", ms=ms,
     )]
     if args.square_class_vs is not None:
-        target = int(args.square_class_vs)
-        ok = square_class_equal(d, target)
+        ok = square_class_equal(d, args.square_class_vs)
         checks.append(CheckReport(
             check_id="disc.square_class", status="pass" if ok else "fail",
-            expected=f"same square class as {target}",
+            expected=f"same square class as {args.square_class_vs}",
             actual=f"square_class_equal = {ok}",
             citation="square-class comparison in Q*/(Q*)^2", ms=0,
         ))
@@ -127,7 +169,7 @@ def _cmd_disc(args) -> int:
 
 
 def _cmd_frobenius(args) -> int:
-    f = load_poly(args.poly)
+    f = _load_poly(args.poly)
     checks: list[CheckReport] = []
     lines: list[str] = []
     start = time.perf_counter()
@@ -192,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--report", choices=("text", "json"), default="text")
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for prime scans")
+    common.add_argument("--jobs", type=_positive_int, default=_available_cpus(),
+                        help="worker processes for prime scans "
+                             "(default: the CPUs available to this process)")
     common.add_argument("--seed", type=int, default=1,
                         help="seed for randomized group construction")
     common.add_argument("--out", help="write the report to a file")
@@ -211,22 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disc", parents=[common], help="exact discriminant")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--square-class-vs", metavar="INT",
+    p.add_argument("--square-class-vs", metavar="INT", type=int,
                    help="compare the discriminant's square class against INT")
     p.set_defaults(fn=_cmd_disc)
 
     p = sub.add_parser("frobenius", parents=[common], help="cycle-type scan")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--primes", type=int, default=evidence.DEFAULT_SCAN_BUDGET)
+    p.add_argument("--primes", type=_positive_int, default=evidence.DEFAULT_SCAN_BUDGET)
     p.add_argument("--certify", choices=("symmetric", "wreath-3-8", "wreath-2-12"))
     p.set_defaults(fn=_cmd_frobenius)
 
     p = sub.add_parser("verify", parents=[common], help="run a theorem suite")
     p.add_argument("--theorem", choices=("rubik", "revenge", "professor"),
                    required=True)
-    p.add_argument("--primes", type=int, default=None,
+    p.add_argument("--primes", type=_positive_int, default=None,
                    help="override the scan prime budget")
-    p.add_argument("--certify-primes", type=int, default=None,
+    p.add_argument("--certify-primes", type=_positive_int, default=None,
                    help="override the certification prime budget")
     p.set_defaults(fn=_cmd_verify)
     return parser
@@ -235,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 def main() -> None:

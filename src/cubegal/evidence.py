@@ -34,10 +34,12 @@ the only other outcome.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from .perm import CycleType
 from .polymod import frobenius_type, primes
@@ -55,36 +57,57 @@ MIN_DISTINCT_TYPES_S24 = 50
 EVEN_FRACTION_WINDOW = (0.45, 0.55)
 
 
-@functools.lru_cache(maxsize=1 << 20)
-def _type_at(f: PolyQ, p: int):
-    return frobenius_type(f, p)
+# process-wide Frobenius types, (poly, p) -> CycleType or None (bad p);
+# each value is a pure function of its key, so suites share it freely.
+# Oldest entries are evicted first once the cache is full.
+_TYPES: OrderedDict = OrderedDict()
+_TYPES_MAX = 1 << 20
+# primes per batch handed to a worker pool
+_POOL_CHUNK = 64
 
 
-# results computed by worker processes; consulted before the local cache
-_PREFETCHED: dict = {}
+def _type_worker(key):
+    return frobenius_type(*key)
 
 
-def _type_worker(item):
-    f, p = item
-    t = frobenius_type(f, p)
-    return None if t is None else t.parts
+def _frobenius_stream(polys, jobs: int):
+    """Yield (p, types) for consecutive primes p, where types[i] is the
+    Frobenius cycle type of polys[i] at p, or None where p is bad for it.
 
-
-def _parallel_prefetch(polys, prime_list, jobs: int):
-    todo = [(f, p) for f in polys for p in prime_list if (f, p) not in _PREFETCHED]
-    if not todo:
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_type_worker, todo, chunksize=8))
-    for (f, p), parts in zip(todo, results):
-        _PREFETCHED[(f, p)] = None if parts is None else CycleType(parts)
-
-
-def _lookup(f: PolyQ, p: int):
-    key = (f, p)
-    if key in _PREFETCHED:
-        return _PREFETCHED[key]
-    return _type_at(f, p)
+    Types come from the shared cache; misses are computed here at
+    jobs == 1, one prime at a time, so no prime is drawn ahead.  At
+    jobs > 1 primes are drawn in batches of _POOL_CHUNK and the misses of
+    each batch go to one worker pool, started at the first miss and shut
+    down when the stream is closed.  (Executor.map would drain the
+    endless prime stream up front, hence the batches.)  Callers close the
+    stream with contextlib.closing so the pool never outlives them.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    batch_size = _POOL_CHUNK if jobs > 1 else 1
+    with ExitStack() as stack:
+        pool = None
+        batch: list[int] = []
+        for p in primes():
+            batch.append(p)
+            if len(batch) < batch_size:
+                continue
+            keys = dict.fromkeys((f, q) for q in batch for f in polys)
+            types = {key: _TYPES[key] for key in keys if key in _TYPES}
+            misses = [key for key in keys if key not in types]
+            if misses and jobs > 1 and pool is None:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            if pool is None:
+                computed = map(_type_worker, misses)
+            else:
+                computed = pool.map(_type_worker, misses, chunksize=8)
+            for key, t in zip(misses, computed):
+                types[key] = _TYPES[key] = t
+            while len(_TYPES) > _TYPES_MAX:
+                _TYPES.popitem(last=False)
+            for q in batch:
+                yield q, [types[f, q] for f in polys]
+            batch = []
 
 
 @dataclass
@@ -129,22 +152,15 @@ def scan(f: PolyQ, prime_budget: int = DEFAULT_SCAN_BUDGET, *,
         poly_id = f"deg{f.degree}-{abs(hash(f)) % 10**8:08d}"
     good: list[tuple[int, CycleType]] = []
     bad: list[int] = []
-    stream = primes()
     examined = 0
-    chunk = 64 if jobs > 1 else 1
-    pending: list[int] = []
-    while len(good) < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
-        if not pending:
-            pending = [next(stream) for _ in range(chunk)]
-            if jobs > 1:
-                _parallel_prefetch([f], pending, jobs)
-        p = pending.pop(0)
-        examined += 1
-        t = _lookup(f, p)
-        if t is None:
-            bad.append(p)
-        else:
-            good.append((p, t))
+    with closing(_frobenius_stream([f], jobs)) as stream:
+        while len(good) < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
+            p, (t,) = next(stream)
+            examined += 1
+            if t is None:
+                bad.append(p)
+            else:
+                good.append((p, t))
     if len(good) < min(5, prime_budget):
         raise ValueError(f"only {len(good)} good primes within {_SEARCH_FACTOR}x budget")
     return EvidenceProfile(
@@ -277,37 +293,30 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
         return None
     transitive = primitive = jordan = None
     jordan_q = None
-    stream = primes()
     good = 0
-    pending: list[int] = []
-    chunk = 64 if jobs > 1 else 1
-    while good < prime_budget:
-        if not pending:
-            pending = [next(stream) for _ in range(chunk)]
-            if jobs > 1:
-                _parallel_prefetch([f], pending, jobs)
-        p = pending.pop(0)
-        t = _lookup(f, p)
-        if t is None:
-            continue
-        good += 1
-        if transitive is None and t.parts == (n,):
-            transitive = p
-        if primitive is None and t.parts == (n - 1, 1):
-            primitive = p
-        if jordan is None:
-            q = _jordan_witness(t, n)
-            if q is not None:
-                jordan, jordan_q = p, q
-        if transitive and primitive and jordan:
-            return SymmetricCertificate(
-                degree=n,
-                transitive_prime=transitive,
-                primitive_prime=primitive,
-                jordan_prime=jordan,
-                jordan_cycle=jordan_q,
-                disc_nonsquare=True,
-            )
+    with closing(_frobenius_stream([f], jobs)) as stream:
+        while good < prime_budget:
+            p, (t,) = next(stream)
+            if t is None:
+                continue
+            good += 1
+            if transitive is None and t.parts == (n,):
+                transitive = p
+            if primitive is None and t.parts == (n - 1, 1):
+                primitive = p
+            if jordan is None:
+                q = _jordan_witness(t, n)
+                if q is not None:
+                    jordan, jordan_q = p, q
+            if transitive and primitive and jordan:
+                return SymmetricCertificate(
+                    degree=n,
+                    transitive_prime=transitive,
+                    primitive_prime=primitive,
+                    jordan_prime=jordan,
+                    jordan_cycle=jordan_q,
+                    disc_nonsquare=True,
+                )
     return None
 
 
@@ -326,63 +335,39 @@ class LinkageReport:
         return not self.violations
 
 
+def _linkage(polys, prime_budget: int, jobs: int) -> LinkageReport:
+    """Check parity(polys[0]) == product of the other parities at every
+    prime good for all of them; violations are (p, *types)."""
+    if any(discriminant(poly) == 0 for poly in polys):
+        raise ValueError("inputs must be separable")
+    checked = 0
+    violations: list[tuple] = []
+    examined = 0
+    with closing(_frobenius_stream(polys, jobs)) as stream:
+        while checked < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
+            p, types = next(stream)
+            examined += 1
+            if None in types:
+                continue
+            checked += 1
+            if types[0].parity != prod(t.parity for t in types[1:]):
+                violations.append((p, *types))
+    return LinkageReport(primes_checked=checked, violations=violations)
+
+
 def parity_linkage(f: PolyQ, g: PolyQ,
                    prime_budget: int = DEFAULT_LINKAGE_BUDGET, *,
                    jobs: int = 1) -> LinkageReport:
     """Check parity(type of f) == parity(type of g) at every prime good
     for both.  Discriminants in one square class force linkage; a
-    violating prime is a constructive witness of distinct classes."""
-    if discriminant(f) == 0 or discriminant(g) == 0:
-        raise ValueError("inputs must be separable")
-    checked = 0
-    violations: list[tuple] = []
-    stream = primes()
-    pending: list[int] = []
-    chunk = 64 if jobs > 1 else 1
-    examined = 0
-    while checked < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
-        if not pending:
-            pending = [next(stream) for _ in range(chunk)]
-            if jobs > 1:
-                _parallel_prefetch([f, g], pending, jobs)
-        p = pending.pop(0)
-        examined += 1
-        tf = _lookup(f, p)
-        tg = _lookup(g, p)
-        if tf is None or tg is None:
-            continue
-        checked += 1
-        if tf.parity != tg.parity:
-            violations.append((p, tf, tg))
-    return LinkageReport(primes_checked=checked, violations=violations)
+    violating prime is a constructive witness of distinct classes.
+    Violations are (p, type of f, type of g)."""
+    return _linkage([f, g], prime_budget, jobs)
 
 
 def triple_parity_linkage(f: PolyQ, g2: PolyQ, g3: PolyQ,
                           prime_budget: int = DEFAULT_TRIPLE_BUDGET, *,
                           jobs: int = 1) -> LinkageReport:
-    """Check parity(f) == parity(g2) * parity(g3) at every common good prime."""
-    for poly in (f, g2, g3):
-        if discriminant(poly) == 0:
-            raise ValueError("inputs must be separable")
-    checked = 0
-    violations: list[tuple] = []
-    stream = primes()
-    pending: list[int] = []
-    chunk = 64 if jobs > 1 else 1
-    examined = 0
-    while checked < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
-        if not pending:
-            pending = [next(stream) for _ in range(chunk)]
-            if jobs > 1:
-                _parallel_prefetch([f, g2, g3], pending, jobs)
-        p = pending.pop(0)
-        examined += 1
-        tf = _lookup(f, p)
-        t2 = _lookup(g2, p)
-        t3 = _lookup(g3, p)
-        if tf is None or t2 is None or t3 is None:
-            continue
-        checked += 1
-        if tf.parity != t2.parity * t3.parity:
-            violations.append((p, tf, t2, t3))
-    return LinkageReport(primes_checked=checked, violations=violations)
+    """Check parity(f) == parity(g2) * parity(g3) at every common good
+    prime.  Violations are (p, type of f, type of g2, type of g3)."""
+    return _linkage([f, g2, g3], prime_budget, jobs)

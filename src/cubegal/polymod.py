@@ -139,7 +139,8 @@ def _divexact(a: list[int], b: list[int], p: int) -> list[int]:
             q[k] = factor
             for i in range(db + 1):
                 r[i + k] = (r[i + k] - factor * b[i]) % p
-    assert not _trim(r), "division was not exact"
+    if _trim(r):
+        raise ArithmeticError("division was not exact")
     return _trim(q)
 
 

@@ -277,11 +277,24 @@ def poly_to_json(f: PolyQ) -> dict:
 
 
 def poly_from_json(doc: dict) -> PolyQ:
-    coeffs = [Fraction(s) for s in doc["coefficients"]]
-    f = PolyQ(tuple(coeffs))
-    if f.degree != doc["degree"]:
+    """Inverse of poly_to_json; a malformed document raises ValueError."""
+    try:
+        degree, texts = doc["degree"], doc["coefficients"]
+    except (KeyError, TypeError):
+        raise ValueError('expected an object with "degree" and "coefficients"') from None
+    if type(degree) is not int or not isinstance(texts, list):
+        raise ValueError('"degree" must be an integer and "coefficients" a list')
+    try:
+        coeffs = [_coerce(text) for text in texts]
+    except ZeroDivisionError:
+        raise ValueError("a coefficient has a zero denominator") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad coefficient: {exc}") from None
+    if len(coeffs) != degree + 1:
         raise ValueError("degree field disagrees with the coefficient list")
-    return f
+    if coeffs and coeffs[-1] == 0:
+        raise ValueError("leading coefficient is zero")
+    return PolyQ(tuple(coeffs))
 
 
 def save_poly(f: PolyQ, path) -> None:

@@ -1,9 +1,14 @@
 import json
+import random
+import sys
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
-from cubegal.cli import cli_main
-from cubegal.polyq import save_poly, trinomial_poly
+from cubegal import evidence
+from cubegal.cli import build_parser, cli_main
+from cubegal.polyq import PolyQ, discriminant, save_poly, trinomial_poly
 from cubegal.structure import R3_ORDER
 
 
@@ -107,12 +112,16 @@ def test_frobenius_wreath_containment(tmp_path, capsys):
     assert "0 types outside" in out
 
 
-def test_verify_rubik_report_deterministic(tmp_path, capsys):
+def test_verify_rubik_report_deterministic(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    for path in (a, b):
+    c = tmp_path / "c.json"
+    for path, jobs in ((a, "1"), (b, "1"), (c, "2")):
+        if jobs == "2":
+            # start cold, so the worker pool computes every type
+            monkeypatch.setattr(evidence, "_TYPES", OrderedDict())
         code, _ = run_cli(capsys, "verify", "--theorem", "rubik",
-                          "--primes", "25", "--jobs", "1",
+                          "--primes", "25", "--jobs", jobs,
                           "--report", "json", "--out", str(path))
         assert code == 0
 
@@ -122,10 +131,71 @@ def test_verify_rubik_report_deterministic(tmp_path, capsys):
             check["ms"] = 0
         return doc
 
-    assert normalized(a) == normalized(b)
+    assert normalized(a) == normalized(b) == normalized(c)
 
 
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["order", "--cube", "7"])
     assert exc.value.code == 2
+
+
+def test_disc_prints_discriminants_past_the_digit_limit(tmp_path, capsys):
+    rng = random.Random(24)
+    coeffs = [Fraction(rng.randrange(10**19, 10**20), rng.randrange(10**19, 10**20))
+              for _ in range(24)] + [1]
+    f = PolyQ.from_coeffs(coeffs)
+    path = tmp_path / "dense.json"
+    save_poly(f, path)
+    code, out = run_cli(capsys, "disc", "--poly", str(path))
+    assert code == 0
+    d = discriminant(f)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{d.numerator}/{d.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 2 * limit
+    assert out.splitlines()[0] == expected
+
+
+_LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
+
+
+@pytest.mark.parametrize("argv, poly_text", [
+    (["verify", "--theorem", "rubik", "--jobs", "0"], None),
+    (["verify", "--theorem", "rubik", "--jobs", "-3"], None),
+    (["verify", "--theorem", "rubik", "--primes", "0"], None),
+    (["verify", "--theorem", "rubik", "--certify-primes", "0"], None),
+    (["frobenius", "--poly", "{poly}", "--primes", "0"], '{"degree": 1, "coefficients": ["1", "1"]}'),
+    (["disc", "--poly", "{poly}"], None),  # the file does not exist
+    (["disc", "--poly", "{poly}"], "{not json"),
+    (["disc", "--poly", "{poly}"], '{"degree": 2}'),
+    (["disc", "--poly", "{poly}"], '["1", "1"]'),
+    (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["1/0", "1"]}'),
+    (["frobenius", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["abc", "1"]}'),
+    (["disc", "--poly", "{poly}"], '{"degree": 3, "coefficients": ["1", "1"]}'),
+    (["disc", "--poly", "{poly}"], '{"degree": 2, "coefficients": ["1", "1", "0"]}'),
+    (["disc", "--poly", "{poly}"], '{"degree": 0, "coefficients": ["5"]}'),
+    (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["%s", "1"]}' % _LONG),
+    (["disc", "--poly", "{poly}", "--square-class-vs", "seven"],
+     '{"degree": 1, "coefficients": ["1", "1"]}'),
+])
+def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
+    path = tmp_path / "poly.json"
+    if poly_text is not None:
+        path.write_text(poly_text, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli_main([arg.replace("{poly}", str(path)) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_default_jobs_counts_cpus_available_to_the_process(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 1
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 64

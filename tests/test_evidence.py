@@ -184,3 +184,95 @@ def test_linkage_requires_separable():
     double_root = PolyQ.from_coeffs([1, 2, 1])
     with pytest.raises(ValueError):
         parity_linkage(double_root, rubik_f(), 10)
+
+
+# -- the shared prime stream ---------------------------------------------------
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """A fresh, empty Frobenius-type cache for the test's duration."""
+    from collections import OrderedDict
+
+    from cubegal import evidence
+    monkeypatch.setattr(evidence, "_TYPES", OrderedDict())
+    return evidence._TYPES
+
+
+def _evidence_of_all_four(jobs):
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])    # disc -3, bad at 3
+    other = PolyQ.from_coeffs([-1, -1, 0, 1])               # disc -23
+    third = PolyQ.from_coeffs([-2, 0, 0, 1])                # disc -108
+    return (
+        scan(cubic, 150, jobs=jobs, poly_id="cubic"),
+        certify_symmetric(trinomial_poly(1), 400, jobs=jobs),
+        parity_linkage(cubic, other, 150, jobs=jobs),
+        triple_parity_linkage(cubic, other, third, 150, jobs=jobs),
+    )
+
+
+def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
+    from cubegal import evidence
+    serial = _evidence_of_all_four(1)
+    profile, cert, pair, triple = serial
+    assert 3 in profile.bad_primes and len(profile.types_by_prime) == 150
+    assert cert is not None  # found well inside the budget: an early exit
+    assert pair.violations and triple.violations
+    assert all(len(v) == 3 for v in pair.violations)
+    assert all(len(v) == 4 for v in triple.violations)
+
+    started, stopped = [], []
+
+    class Pool(evidence.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            stopped.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(evidence, "ProcessPoolExecutor", Pool)
+    cold_cache.clear()
+    parallel = _evidence_of_all_four(2)
+    assert parallel == serial
+    # every call had misses: one pool each, all shut down before returning
+    assert len(started) == 4
+    assert stopped == started
+
+
+def test_repeated_scan_is_served_from_cache(cold_cache, monkeypatch):
+    from cubegal import evidence
+    f = trinomial_poly(1)
+    first = scan(f, 40)
+    calls = []
+    monkeypatch.setattr(evidence, "frobenius_type", lambda *key: calls.append(key))
+    assert scan(f, 40) == first
+    assert calls == []
+
+
+def test_fully_cached_call_starts_no_pool(cold_cache, monkeypatch):
+    from cubegal import evidence
+    f = trinomial_poly(1)
+    warm = scan(f, 128)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fully cached call must not compute or start a pool")
+    monkeypatch.setattr(evidence, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(evidence, "frobenius_type", refuse)
+    profile = scan(f, 60, jobs=2)
+    assert profile.types_by_prime == dict(list(warm.types_by_prime.items())[:60])
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
+    other = PolyQ.from_coeffs([-1, -1, 0, 1])
+    with pytest.raises(ValueError):
+        scan(cubic, 10, jobs=jobs)
+    with pytest.raises(ValueError):
+        certify_symmetric(trinomial_poly(1), 10, jobs=jobs)
+    with pytest.raises(ValueError):
+        parity_linkage(cubic, other, 10, jobs=jobs)
+    with pytest.raises(ValueError):
+        triple_parity_linkage(cubic, other, other, 10, jobs=jobs)
