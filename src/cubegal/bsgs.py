@@ -7,14 +7,16 @@ finds.  A finished chain therefore satisfies Schreier's lemma at every
 level by direct computation, so the published order and the membership
 test are certificates, not Monte Carlo claims.
 
-All orders are exact arbitrary-precision integers.
+All orders are exact arbitrary-precision integers.  The chain works on
+bare 0-based image tables and composes and inverts them with the
+kernels of `perm`, which alone defines the representation.
 """
 
 from __future__ import annotations
 
 import random
 
-from .perm import Permutation
+from .perm import Permutation, _compose, _identity, _inverse
 
 DEFAULT_SEED = 1
 _PR_SLOTS = 10
@@ -22,24 +24,12 @@ _PR_BURNIN = 60
 _CLEAN_SIFTS = 20
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(i) = p(q(i))
-    return tuple(map(p.__getitem__, q))
-
-
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 class _Level:
     __slots__ = ("point", "gens", "trans", "invtrans")
 
-    def __init__(self, point: int, ident: tuple[int, ...]):
+    def __init__(self, point: int, ident: tuple[int, ...], gens=()):
         self.point = point
-        self.gens: list[tuple[int, ...]] = []
+        self.gens: list[tuple[int, ...]] = list(gens)
         self.trans: dict[int, tuple[int, ...]] = {point: ident}
         self.invtrans: dict[int, tuple[int, ...]] = {point: ident}
 
@@ -53,7 +43,7 @@ class ProductReplacementSampler:
 
     def __init__(self, generators, seed: int,
                  slots: int = _PR_SLOTS, burnin: int = _PR_BURNIN):
-        gens = [g.raw if isinstance(g, Permutation) else tuple(g) for g in generators]
+        gens = [g.raw for g in generators]
         if not gens:
             raise ValueError("empty generator list")
         self._slots = [gens[i % len(gens)] for i in range(slots)]
@@ -92,7 +82,7 @@ class PermutationGroup:
             raise ValueError("degree mismatch among generators")
         self.degree = degree
         self.generators: list[Permutation] = gens
-        self._ident = tuple(range(degree))
+        self._ident = _identity(degree)
         self._levels: list[_Level] = []
         self._build(seed)
         self._order = 1
@@ -138,13 +128,16 @@ class PermutationGroup:
 
     # -- chain internals ----------------------------------------------------
 
-    def _sift(self, p: tuple[int, ...]):
-        """Reduce p through the chain; returns (residue, level it stuck at).
+    def _sift(self, p: tuple[int, ...], start: int = 0):
+        """Reduce p through levels start.. of the chain; returns (residue,
+        level it stuck at).
 
         A residue equal to the identity means membership; a permutation
         moving a point outside some basic orbit sticks at that level.
         """
-        for idx, lvl in enumerate(self._levels):
+        levels = self._levels
+        for idx in range(start, len(levels)):
+            lvl = levels[idx]
             beta = p[lvl.point]
             if beta == lvl.point:
                 continue
@@ -152,13 +145,17 @@ class PermutationGroup:
             if inv is None:
                 return p, idx
             p = _compose(inv, p)
-        return p, len(self._levels)
+        return p, len(levels)
 
-    def _extend_orbit(self, lvl: _Level):
+    def _extend_orbit(self, lvl: _Level) -> list[tuple[int, ...]]:
+        """Close lvl's basic orbit and transversals under lvl.gens,
+        breadth first; returns the generators that first reached a new
+        point, in first-use order."""
         trans = lvl.trans
         invtrans = lvl.invtrans
         frontier = list(trans)
         gens = lvl.gens
+        used: dict[tuple[int, ...], None] = {}
         while frontier:
             fresh = []
             for beta in frontier:
@@ -170,7 +167,9 @@ class PermutationGroup:
                         trans[gamma] = w
                         invtrans[gamma] = _inverse(w)
                         fresh.append(gamma)
+                        used.setdefault(s)
             frontier = fresh
+        return list(used)
 
     def _add_strong(self, g: tuple[int, ...], stick: int):
         """Adjoin the sift residue g to levels 0..stick.
@@ -189,88 +188,61 @@ class PermutationGroup:
             lvl.gens.append(g)
             self._extend_orbit(lvl)
 
+    def _adjoin(self, gens) -> bool:
+        """Sift each of gens and adjoin every nontrivial residue; returns
+        whether the chain grew."""
+        grew = False
+        for g in gens:
+            residue, stick = self._sift(g)
+            if residue != self._ident:
+                self._add_strong(residue, stick)
+                grew = True
+        return grew
+
     def _build(self, seed: int):
-        raw_gens = []
-        for g in self.generators:
-            raw = g.raw
-            if any(i != x for i, x in enumerate(raw)) and raw not in raw_gens:
-                raw_gens.append(raw)
-        if not raw_gens:
+        inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
+        if not inputs:
             return  # trivial group: empty chain, order 1
-        changed = True
-        while changed:
-            changed = False
-            for g in raw_gens:
-                residue, stick = self._sift(g)
-                if residue != self._ident:
-                    self._add_strong(residue, stick)
-                    changed = True
-        sampler = ProductReplacementSampler(raw_gens, seed)
+        raw_gens = [g.raw for g in inputs]
+        while self._adjoin(raw_gens):
+            pass
+        sampler = ProductReplacementSampler(inputs, seed)
         clean = 0
         while clean < _CLEAN_SIFTS:
-            residue, stick = self._sift(sampler._step())
-            if residue == self._ident:
-                clean += 1
-            else:
-                clean = 0
-                self._add_strong(residue, stick)
+            clean = 0 if self._adjoin((sampler._step(),)) else clean + 1
         self._prune(set(raw_gens))
         # verify, then make sure the certified group is still the group the
         # inputs generate (pruning could in principle drop span-essential
         # generators); every re-insertion grows a basic orbit, so this loop
         # terminates
-        while True:
+        self._verify()
+        while self._adjoin(raw_gens):
             self._verify()
-            complete = True
-            for g in raw_gens:
-                residue, stick = self._sift(g)
-                if residue != self._ident:
-                    self._add_strong(residue, stick)
-                    complete = False
-            if complete:
-                return
 
     def _prune(self, protected: set[tuple[int, ...]]):
         """Drop strong generators that never extend their level's orbit.
 
-        One BFS per level records which generators first reached each
-        orbit point; the rest are redundant for the orbit (though not
-        necessarily for the stabilizer below - the verification pass
-        restores anything still needed).  Transversals are rebuilt from
-        the kept generators so every transversal word stays inside the
-        kept span.  The original input generators are never dropped from
-        the top level: the certified group must remain the group they
-        generate.
+        One orbit walk per level from scratch records which generators
+        first reached each orbit point; the rest are redundant for the
+        orbit (though not necessarily for the stabilizer below - the
+        verification pass restores anything still needed).  Transversals
+        are rebuilt from the kept generators so every transversal word
+        stays inside the kept span.  The original input generators are
+        never dropped from the top level: the certified group must remain
+        the group they generate.
         """
+        ident = self._ident
         for depth, lvl in enumerate(self._levels):
-            orbit = set(lvl.trans)
-            kept: list[tuple[int, ...]] = []
-            kept_set: set[tuple[int, ...]] = set()
-            reached = {lvl.point}
-            frontier = [lvl.point]
-            while frontier:
-                fresh = []
-                for beta in frontier:
-                    for s in lvl.gens:
-                        gamma = s[beta]
-                        if gamma not in reached:
-                            reached.add(gamma)
-                            fresh.append(gamma)
-                            if s not in kept_set:
-                                kept_set.add(s)
-                                kept.append(s)
-                frontier = fresh
+            kept = self._extend_orbit(_Level(lvl.point, ident, lvl.gens))
             if depth == 0:
                 for g in lvl.gens:
-                    if g in protected and g not in kept_set:
+                    if g in protected and g not in kept:
                         kept.append(g)
-                        kept_set.add(g)
-            lvl.gens = kept
-            lvl.trans = {lvl.point: self._ident}
-            lvl.invtrans = {lvl.point: self._ident}
-            self._extend_orbit(lvl)
-            if set(lvl.trans) != orbit:
+            pruned = _Level(lvl.point, ident, kept)
+            self._extend_orbit(pruned)
+            if pruned.trans.keys() != lvl.trans.keys():
                 raise AssertionError("pruned generators no longer span the basic orbit")
+            self._levels[depth] = pruned
 
     def _check_level(self, i: int):
         """Sift every Schreier generator of level i through the chain below.
@@ -278,33 +250,16 @@ class PermutationGroup:
         Returns None when all reduce to the identity, else the first
         failing residue and the level index where it stuck.
         """
-        ident = self._ident
-        levels = self._levels
-        lvl = levels[i]
+        lvl = self._levels[i]
         for beta, u in lvl.trans.items():
             for s in lvl.gens:
                 gamma = s[beta]
                 w = _compose(s, u)
-                t = lvl.trans[gamma]
-                if w == t:
+                if w == lvl.trans[gamma]:
                     continue
-                residue = _compose(lvl.invtrans[gamma], w)
-                stick = None
-                for j in range(i + 1, len(levels)):
-                    l2 = levels[j]
-                    b2 = residue[l2.point]
-                    if b2 == l2.point:
-                        continue
-                    inv = l2.invtrans.get(b2)
-                    if inv is None:
-                        stick = j
-                        break
-                    residue = _compose(inv, residue)
-                if stick is None:
-                    if residue == ident:
-                        continue
-                    stick = len(levels)
-                return residue, stick
+                residue, stick = self._sift(_compose(lvl.invtrans[gamma], w), i + 1)
+                if stick < len(self._levels) or residue != self._ident:
+                    return residue, stick
         return None
 
     def _verify(self):

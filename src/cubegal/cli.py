@@ -170,6 +170,13 @@ def _cmd_disc(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     f = _load_poly(args.poly)
+    try:
+        return _frobenius_report(args, f)
+    except ValueError as exc:  # a polynomial the evidence layer cannot serve
+        raise _UsageError(f"--poly {args.poly}: {exc}") from None
+
+
+def _frobenius_report(args, f) -> int:
     checks: list[CheckReport] = []
     lines: list[str] = []
     start = time.perf_counter()
@@ -201,8 +208,7 @@ def _cmd_frobenius(args) -> int:
                 check_id="frobenius.certify_symmetric",
                 status="pass" if ok else "fail",
                 expected="certificate revalidates from scratch",
-                actual=f"witnesses p={cert.transitive_prime},{cert.primitive_prime},"
-                       f"{cert.jordan_prime} (q={cert.jordan_cycle})",
+                actual=cert.witnesses(),
                 citation="symmetric-group certification chain", ms=ms))
     elif args.certify in ("wreath-3-8", "wreath-2-12"):
         n, m = (3, 8) if args.certify == "wreath-3-8" else (2, 12)

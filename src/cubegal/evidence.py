@@ -242,6 +242,10 @@ class SymmetricCertificate:
     def valid(self) -> bool:
         return self.disc_nonsquare
 
+    def witnesses(self) -> str:
+        return (f"witnesses p={self.transitive_prime},{self.primitive_prime},"
+                f"{self.jordan_prime} (q={self.jordan_cycle})")
+
     def revalidate(self, f: PolyQ) -> bool:
         """Recompute every witness from scratch."""
         n = f.degree

@@ -9,13 +9,32 @@ dedicated test; all other modules import it implicitly by using ``*``.
 
 Points are 1-based in every public interface (matching the sticker
 labels 1..144 of the cube models).  The internal image table is
-0-based.
+0-based.  This module alone knows how that table is stored: the private
+kernels ``_identity``, ``_compose`` and ``_inverse`` act on bare tables,
+``Permutation`` wraps them, and the group engine (``bsgs``) imports them
+to work on unwrapped tables in its hot loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
+
+
+def _identity(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # (p o q)(i) = p(q(i))
+    return tuple(map(p.__getitem__, q))
+
+
+def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
 
 
 @dataclass(frozen=True, order=True)
@@ -93,7 +112,7 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be positive")
-        return cls._wrap(tuple(range(degree)))
+        return cls._wrap(_identity(degree))
 
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> "Permutation":
@@ -123,18 +142,14 @@ class Permutation:
         return self._img[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        # (p * q)(i) = p(q(i))
         if not isinstance(other, Permutation):
             return NotImplemented
         if len(self._img) != len(other._img):
             raise ValueError("degree mismatch")
-        return Permutation._wrap(tuple(map(self._img.__getitem__, other._img)))
+        return Permutation._wrap(_compose(self._img, other._img))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self._img)
-        for i, x in enumerate(self._img):
-            inv[x] = i
-        return Permutation._wrap(tuple(inv))
+        return Permutation._wrap(_inverse(self._img))
 
     def __pow__(self, k: int) -> "Permutation":
         n = len(self._img)
@@ -162,9 +177,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self._img))
-
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, x in enumerate(self._img) if x != i]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 1-based, each rotated to start at its least
@@ -251,19 +263,6 @@ def print_cycles(p: Permutation) -> str:
         rotated = cyc[least:] + cyc[:least]
         out.append("(" + " ".join(str(a) for a in rotated) + ")")
     return "".join(out)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(i) = p(q(i)); same as ``p * q``."""
-    return p * q
-
-
-def sign(p: Permutation) -> int:
-    return p.sign()
-
-
-def cycle_type(p: Permutation) -> CycleType:
-    return p.cycle_type()
 
 
 def orbits(gens, degree: int | None = None) -> list[frozenset[int]]:

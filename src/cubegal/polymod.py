@@ -25,7 +25,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -203,13 +203,6 @@ def powmod(base: PolyFp, e: int, modpoly: PolyFp) -> PolyFp:
     if e < 0:
         raise ValueError("negative exponent")
     return PolyFp(base.p, tuple(_powmod(list(base.coeffs), e, list(modpoly.coeffs), base.p)))
-
-
-def squarefree_mod_p(f: PolyFp) -> bool:
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    a = list(f.coeffs)
-    return len(_gcd(a, _deriv(a, f.p), f.p)) == 1
 
 
 def ddf_cycle_type(f: PolyFp):

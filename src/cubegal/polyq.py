@@ -62,14 +62,6 @@ class PolyQ:
     def one(cls) -> "PolyQ":
         return cls((Fraction(1),))
 
-    @classmethod
-    def x(cls) -> "PolyQ":
-        return cls((Fraction(0), Fraction(1)))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "PolyQ":
-        return cls((Fraction(0),) * degree + (_coerce(coeff),))
-
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""

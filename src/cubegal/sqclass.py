@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def integer_sqrt(n: int) -> tuple[int, bool]:
     """(floor(sqrt(n)), exact flag) for a nonnegative integer n.

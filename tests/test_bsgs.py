@@ -175,3 +175,77 @@ def test_normal_closure_trivial_seeds():
 def test_normal_closure_cap_returns_none():
     g = PermutationGroup(s_n_generators(10))
     assert normal_closure(g, [parse_cycles("(1 2 3)", 10)], max_generators=1) is None
+
+
+# -- sympy.combinatorics as an independent oracle ---------------------------
+
+def _small_support_generator(rng, n):
+    """A cycle of length 2..4; a few of these rarely span a transitive group."""
+    return Permutation.from_cycles([rng.sample(range(1, n + 1), rng.randint(2, min(4, n)))], n)
+
+
+def _block_generator(rng, n, b):
+    """A cycle inside one block of {1..n} cut into blocks of size b, or a
+    bijection swapping a block with the next: either preserves the blocks."""
+    i = rng.randrange(n // b)
+    block = range(i * b + 1, i * b + b + 1)
+    if rng.random() < 0.5:
+        return Permutation.from_cycles([list(block)[:rng.randint(2, b)]], n)
+    j = (i + 1) % (n // b)
+    shift = rng.randrange(b)
+    return Permutation.from_cycles(
+        [(a, j * b + 1 + (k + shift) % b) for k, a in enumerate(block)], n)
+
+
+def _random_subgroups(seed, count):
+    rng = random.Random(seed)
+    for trial in range(count):
+        n = rng.randint(3, 12)
+        sizes = [b for b in (2, 3, 4, 6) if n % b == 0 and b < n]
+        if trial % 2 and sizes:
+            b = rng.choice(sizes)
+            gens = [_block_generator(rng, n, b) for _ in range(rng.randint(2, 4))]
+        else:
+            gens = [_small_support_generator(rng, n) for _ in range(rng.randint(1, 3))]
+        yield rng, n, gens
+
+
+def test_order_and_contains_match_sympy_on_random_subgroups():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    kinds = set()
+    for trial, (rng, n, gens) in enumerate(_random_subgroups(2024, 80)):
+        ours = PermutationGroup(gens, seed=trial)
+        theirs = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.raw)) for g in gens])
+        assert ours.order() == theirs.order(), gens
+        word = Permutation.identity(n)
+        for _ in range(5):
+            word = word * rng.choice(gens)
+            assert ours.contains(word)
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            p = Permutation(images)
+            assert ours.contains(p) == theirs.contains(
+                combinatorics.Permutation(list(p.raw))), (gens, p)
+        if not theirs.is_transitive():
+            kinds.add("intransitive")
+        else:
+            kinds.add("primitive" if theirs.is_primitive() else "imprimitive")
+    assert kinds == {"intransitive", "imprimitive", "primitive"}
+
+
+def test_r3_order_and_contains_match_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from cubegal.cubes import cube_model
+    model = cube_model(3)
+    gens = list(model.generators.values())
+    ours = model.group()
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.raw)) for g in gens])
+    assert ours.order() == theirs.order() == 43252003274489856000
+    sampler = ours.sampler(5)
+    a, b = sampler.next(), sampler.next()
+    swap = Permutation.from_cycles([gens[0].cycles()[0][:2]], 48)
+    for p in (a, a * b, swap, a * swap):
+        assert ours.contains(p) == theirs.contains(combinatorics.Permutation(list(p.raw)))
+    assert not ours.contains(swap)

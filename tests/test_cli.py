@@ -181,6 +181,12 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
     (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["%s", "1"]}' % _LONG),
     (["disc", "--poly", "{poly}", "--square-class-vs", "seven"],
      '{"degree": 1, "coefficients": ["1", "1"]}'),
+    # well-formed, but refused by the evidence layer: degree < 8 for the
+    # certifier, and (X+1)^2, which is bad at every prime
+    (["frobenius", "--poly", "{poly}", "--primes", "5", "--certify", "symmetric"],
+     '{"degree": 3, "coefficients": ["-1", "-1", "0", "1"]}'),
+    (["frobenius", "--poly", "{poly}", "--primes", "5"],
+     '{"degree": 2, "coefficients": ["1", "2", "1"]}'),
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     path = tmp_path / "poly.json"
