@@ -1,9 +1,21 @@
 """Polynomial arithmetic over prime fields with word-sized moduli.
 
-Distinct-degree factorization returns the multiset of irreducible factor
-degrees of a squarefree polynomial mod p; for a good prime this multiset
-is the cycle type of a Frobenius element of the splitting field, which
-is the observable every Galois-evidence check consumes.
+Distinct-degree factorization (DDF) returns the multiset of irreducible
+factor degrees of a squarefree polynomial mod p; for a good prime this
+multiset is the cycle type of a Frobenius element of the splitting
+field, which is the observable every Galois-evidence check consumes.
+
+DDF and `powmod` share one multiply-mod kernel for F_p[X]/(f), f of
+degree n.  It packs the n coefficients of a residue into fixed-width
+slots of one Python int (Kronecker substitution; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009),
+so a product of two residues is one bignum multiply in CPython's C code.
+The product's high slots are folded back by precomputed packed rows
+X^(n+k) mod f, each scaled by a small int and added.  Per prime, DDF
+computes X^p mod f once by square-and-multiply, then the rows X^(ip)
+mod f of the Frobenius (Berlekamp Q-) matrix, and gets every later
+X^(p^d) as a linear combination of those rows (von zur Gathen &
+Gerhard, "Modern Computer Algebra", 14.2).  The gcds run on plain lists.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -11,8 +23,10 @@ scans reproduce exactly without a seed.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .perm import CycleType
 from .polyq import PolyQ
@@ -20,6 +34,8 @@ from .polyq import PolyQ
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (Sorenson & Webster); far beyond any modulus used here.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# degrees whose w - X share one gcd with f* in distinct-degree factorization
+_DDF_BATCH = 4
 
 
 def is_prime(n: int) -> bool:
@@ -100,17 +116,6 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % p for c in out])
-
-
 def _rem(a: list[int], b: list[int], p: int) -> list[int]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -158,16 +163,86 @@ def _deriv(a: list[int], p: int) -> list[int]:
     return _trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _rem(_mul(result, acc, p), mod, p)
-        e >>= 1
-        if e:
-            acc = _rem(_mul(acc, acc, p), mod, p)
-    return result
+# -- packed residues mod f ----------------------------------------------------
+
+
+class _Residues:
+    """Arithmetic in F_p[X]/(f), for monic f of degree n >= 1, on residues
+    packed into one int by Kronecker substitution.
+
+    A residue is a list of n coefficients below p, ascending; packed, its
+    coefficient k sits in slot k, `width` bytes wide.  The product of two
+    packed residues is one bignum multiply whose slot k holds the sum of
+    the a_i * b_j with i + j = k.  `mulmod` folds the high slots of such a
+    product back with the packed rows X^(n+k) mod f: each high slot, taken
+    mod p, scales its row, and the scaled rows are added to the low n
+    slots.  A slot then holds a sum of at most 2n products below p^2, and
+    is wide enough for that, so no slot carries into the next.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        width = -(-(2 * n * (p - 1) ** 2).bit_length() // 8)
+        if width <= 8:
+            # round up to 1, 2, 4 or 8 bytes, which struct packs in C
+            width = 1 << (width - 1).bit_length()
+            self.codec = struct.Struct(f"<{n}{'BHIQ'[width.bit_length() - 1]}")
+        else:
+            self.codec = None
+        self.p, self.n, self.width = p, n, width
+        self.shift = 8 * width * n  # bits in n slots
+        self.low = (1 << self.shift) - 1
+        # X^n, ..., X^(2n-2) mod f: the high slots of a product of residues
+        row = x_n = [-c % p for c in f[:-1]]
+        self.rows = [self.pack(row)]
+        for _ in range(n - 2):
+            top = row[-1]
+            row = [(top * c + r) % p for c, r in zip(x_n, [0] + row[:-1])]
+            self.rows.append(self.pack(row))
+
+    def pack(self, a: list[int]) -> int:
+        if self.codec is not None:
+            return int.from_bytes(self.codec.pack(*a), "little")
+        return int.from_bytes(b"".join(c.to_bytes(self.width, "little") for c in a), "little")
+
+    def unpack_mod(self, v: int) -> list[int]:
+        """The n slots of v, each taken mod p."""
+        raw = v.to_bytes(self.n * self.width, "little")
+        if self.codec is not None:
+            slots = self.codec.unpack(raw)
+        else:
+            w = self.width
+            slots = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        p = self.p
+        return [s % p for s in slots]
+
+    def mulmod(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b mod f: one bignum multiply, then the high slots folded back."""
+        c = self.pack(a) * self.pack(b)
+        high = self.unpack_mod(c >> self.shift)
+        return self.unpack_mod(sum(map(mul, high, self.rows), c & self.low))
+
+    def power(self, a: list[int], e: int) -> list[int]:
+        """a^e by left-to-right square-and-multiply, for e >= 1."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, a)
+        return r
+
+    def frobenius(self, xp: list[int]) -> list[int]:
+        """The packed rows X^(ip) mod f, i < n, of the Frobenius matrix Q,
+        from xp = X^p mod f; n >= 2."""
+        w, rows = xp, [self.pack([1] + [0] * (self.n - 1)), self.pack(xp)]
+        while len(rows) < self.n:
+            w = self.mulmod(w, xp)
+            rows.append(self.pack(w))
+        return rows
+
+    def apply(self, w: list[int], q: list[int]) -> list[int]:
+        """w^p = w(X^p) = sum of w_i X^(ip), given the rows q of Q."""
+        return self.unpack_mod(sum(map(mul, w, q)))
 
 
 # -- public operations --------------------------------------------------------
@@ -195,19 +270,42 @@ def reduce_mod_p(f: PolyQ, p: int):
 
 
 def powmod(base: PolyFp, e: int, modpoly: PolyFp) -> PolyFp:
-    """base^e mod modpoly by square-and-multiply; e may be huge."""
+    """base^e mod modpoly by square-and-multiply; e may be huge.
+
+    modpoly need not be monic: the remainder mod f is the remainder mod
+    monic(f)."""
     if base.p != modpoly.p:
         raise ValueError("modulus mismatch")
     if modpoly.degree < 1:
         raise ValueError("modulus polynomial must have degree >= 1")
     if e < 0:
         raise ValueError("negative exponent")
-    return PolyFp(base.p, tuple(_powmod(list(base.coeffs), e, list(modpoly.coeffs), base.p)))
+    p, f = base.p, list(modpoly.monic().coeffs)
+    if e == 0:
+        return PolyFp(p, (1,))
+    a = _rem(list(base.coeffs), f, p)
+    a += [0] * (len(f) - 1 - len(a))
+    return PolyFp(p, tuple(_Residues(f, p).power(a, e)))
 
 
 def ddf_cycle_type(f: PolyFp):
-    """Multiset of irreducible-factor degrees of f mod p, via
-    gcd(X^(p^d) - X, f) for d = 1, 2, ...; None when f is not squarefree.
+    """Multiset of irreducible-factor degrees of f mod p; None when f is
+    not squarefree.
+
+    Let f* be what is left of f once its factors of degree < d are
+    removed; its factors of degree d are those of gcd(X^(p^d) - X, f*),
+    and once 2d exceeds deg f*, f* is irreducible (or 1).  X^p mod f is
+    computed once, by square-and-multiply on packed residues.  The rows
+    X^(ip) mod f, i < n, of the Frobenius matrix Q then take
+    w = X^(p^(d-1)) to w^p = w(X^p) as a linear combination of packed
+    rows, with no further powering.  Powers stay reduced mod f itself,
+    which f* divides, so the gcds with f* are unchanged.
+
+    Degrees are tried _DDF_BATCH at a time: one gcd of f* with the
+    product of the w - X tells whether any of them has factors, and only
+    then does each w - X get its own gcd, in increasing d, with that
+    first gcd.  Factors of degree dividing an earlier d of the batch are
+    gone from it by then, so each factor counts at its own degree.
 
     For squarefree f the factors are distinct, so multiplicity in the
     returned type is the count of factors of that degree.
@@ -216,27 +314,42 @@ def ddf_cycle_type(f: PolyFp):
         raise ValueError("zero polynomial")
     if f.degree == 0:
         raise ValueError("constant polynomial")
-    p = f.p
+    p, n = f.p, f.degree
     fstar = list(f.monic().coeffs)
     if len(_gcd(fstar, _deriv(fstar, p), p)) != 1:
         return None
+    residues = _Residues(fstar, p)
     parts: list[int] = []
-    x = [0, 1]
-    w = _rem(x, fstar, p)
+    w = q = None
     d = 0
-    while len(fstar) - 1 > 0:
-        d += 1
-        if 2 * d > len(fstar) - 1:
-            parts.append(len(fstar) - 1)
-            break
-        w = _powmod(w, p, fstar, p)
-        delta = list(w) + [0] * max(0, 2 - len(w))
-        delta[1] = (delta[1] - 1) % p  # w - X
-        g = _gcd(_trim(delta), fstar, p)
-        if len(g) - 1 > 0:
-            parts.extend([d] * ((len(g) - 1) // d))
-            fstar = _divexact(fstar, g, p)
-            w = _rem(w, fstar, p)
+    while 2 * (d + 1) <= len(fstar) - 1:
+        batch = []  # (d, w - X) for the next d, as long as 2d <= deg f*
+        last = min(d + _DDF_BATCH, (len(fstar) - 1) // 2)
+        while d < last:
+            d += 1
+            if w is None:
+                w = residues.power([0, 1] + [0] * (n - 2), p)
+            else:
+                if q is None:
+                    q = residues.frobenius(w)  # w is still X^p here
+                w = residues.apply(w, q)
+            delta = w.copy()
+            delta[1] = (delta[1] - 1) % p
+            batch.append((d, delta))
+        product = batch[0][1]
+        for _, delta in batch[1:]:
+            product = residues.mulmod(product, delta)
+        g = _gcd(_trim(product), fstar, p)
+        for e, delta in batch:
+            if len(g) == 1:
+                break
+            factors = _gcd(_trim(delta), g, p)
+            if len(factors) > 1:
+                parts.extend([e] * ((len(factors) - 1) // e))
+                g = _divexact(g, factors, p)
+                fstar = _divexact(fstar, factors, p)
+    if len(fstar) > 1:
+        parts.append(len(fstar) - 1)
     return CycleType(tuple(parts))
 
 
@@ -251,6 +364,8 @@ def frobenius_type(f: PolyQ, p: int):
 
 def legendre(a: Fraction | int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
     a = Fraction(a)
     num = a.numerator % p
     den = a.denominator % p

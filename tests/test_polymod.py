@@ -4,12 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from cubegal import theorems
 from cubegal.perm import CycleType
-from cubegal.polymod import (PolyFp, _divexact, _rem, _trim, ddf_cycle_type,
-                             frobenius_type, is_prime, legendre, powmod,
-                             primes, reduce_mod_p)
+from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _trim,
+                             ddf_cycle_type, frobenius_type, is_prime, legendre,
+                             powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
+
+# the named polynomials of the theorem suites, h1 both as derived and as stated
+NAMED_POLYNOMIALS = {
+    "rubik_f": theorems.rubik_f,
+    "rubik_g": theorems.rubik_g,
+    "rubik_g_resolvent": theorems.rubik_g_resolvent,
+    "revenge_g": theorems.revenge_g,
+    "revenge_h": theorems.revenge_h,
+    "professor_h1_derived": lambda: trinomial_poly(theorems.derive_parameters().u1),
+    "professor_h1_stated": theorems.professor_h1_stated,
+    "professor_h2": theorems.professor_h2,
+    "professor_h3": theorems.professor_h3,
+}
 
 
 def oracle_factor_degrees(coeffs, p):
@@ -33,6 +47,55 @@ def oracle_factor_degrees(coeffs, p):
             out.append(deg_f)
             break
     return tuple(sorted(out, reverse=True))
+
+
+def schoolbook_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _trim([c % p for c in out])
+
+
+def reference_powmod(base, e, mod, p):
+    """base^e mod `mod` by right-to-left square-and-multiply on lists."""
+    result = _rem([1], mod, p)
+    acc = _rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = _rem(schoolbook_mul(result, acc, p), mod, p)
+        e >>= 1
+        if e:
+            acc = _rem(schoolbook_mul(acc, acc, p), mod, p)
+    return result
+
+
+def reference_ddf(f):
+    """Distinct-degree factorization with a fresh schoolbook powmod
+    w <- w^p mod f* at every degree d, f* the cofactor left so far."""
+    p = f.p
+    fstar = list(f.monic().coeffs)
+    if len(_gcd(fstar, _deriv(fstar, p), p)) != 1:
+        return None
+    parts = []
+    w = _rem([0, 1], fstar, p)
+    d = 0
+    while len(fstar) > 1:
+        d += 1
+        if 2 * d > len(fstar) - 1:
+            parts.append(len(fstar) - 1)
+            break
+        w = reference_powmod(w, p, fstar, p)
+        delta = w + [0] * max(0, 2 - len(w))
+        delta[1] = (delta[1] - 1) % p
+        g = _gcd(_trim(delta), fstar, p)
+        if len(g) > 1:
+            parts.extend([d] * ((len(g) - 1) // d))
+            fstar = _divexact(fstar, g, p)
+            w = _rem(w, fstar, p)
+    return CycleType(tuple(parts))
 
 
 def test_is_prime():
@@ -177,3 +240,39 @@ def test_good_prime_type_sums_to_24():
         t = frobenius_type(f, p)
         if t is not None:
             assert t.degree == 24
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_POLYNOMIALS))
+def test_ddf_matches_reference_on_named_polynomials(name):
+    f = NAMED_POLYNOMIALS[name]()
+    good = 0
+    for p in itertools.islice(primes(), 150):
+        reduced = reduce_mod_p(f, p)
+        if reduced is None:
+            continue
+        assert ddf_cycle_type(reduced) == reference_ddf(reduced), (name, p)
+        good += 1
+    assert good > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 23, 4409, 20011, 2 ** 31 - 1])
+def test_ddf_against_sympy_factor_list(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(p)
+    for degree in (1, 2, 3, 5, 8, 12, 17, 24):
+        while True:  # until a squarefree draw; the others must come back None
+            f = PolyFp(p, tuple([rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]))
+            _, factors = sympy.Poly(f.coeffs[::-1], x, modulus=p).factor_list()
+            if any(mult > 1 for _, mult in factors):
+                assert ddf_cycle_type(f) is None, (p, f.coeffs)
+                continue
+            assert ddf_cycle_type(f) == CycleType(tuple(g.degree() for g, _ in factors)), (p, f.coeffs)
+            break
+
+
+def test_legendre_requires_an_odd_prime():
+    assert legendre(2, 7) == 1 and legendre(3, 7) == -1
+    for bad in (2, 9, 1, 0, -7):
+        with pytest.raises(ValueError):
+            legendre(5, bad)

@@ -1,0 +1,79 @@
+"""Property tests of the packed F_p[X]/(f) kernel against schoolbook oracles."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from cubegal.polymod import PolyFp, _Residues, _rem, _trim, ddf_cycle_type, powmod
+from test_polymod import reference_ddf, reference_powmod, schoolbook_mul
+
+DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
+# tiny, small, benchmark-sized and word-sized primes; 2^31 - 1 needs
+# slots wider than 8 bytes
+PRIMES = st.sampled_from([2, 3, 5, 7, 23, 4409, 20011, 2 ** 31 - 1])
+
+
+@st.composite
+def modulus_and_residues(draw, count, degrees=st.integers(1, 24)):
+    """A prime p, a modulus of degree n over F_p with any nonzero leading
+    coefficient, and `count` residues of n coefficients each."""
+    p = draw(PRIMES)
+    n = draw(degrees)
+    residue = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    f = draw(residue) + [draw(st.integers(1, p - 1))]
+    return p, f, [draw(residue) for _ in range(count)]
+
+
+def monic(f, p):
+    return list(PolyFp(p, tuple(f)).monic().coeffs)
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(2))
+def test_packed_product_matches_schoolbook(case):
+    p, f, (a, b) = case
+    f = monic(f, p)
+    product = _Residues(f, p).mulmod(a, b)
+    assert _trim(product) == _rem(schoolbook_mul(_trim(a), _trim(b), p), f, p)
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(1), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_powmod_adds_exponents(case, e1, e2):
+    p, f, (a,) = case
+    fp, ap = PolyFp(p, tuple(f)), PolyFp(p, tuple(a))
+    product = schoolbook_mul(list(powmod(ap, e1, fp).coeffs), list(powmod(ap, e2, fp).coeffs), p)
+    assert list(powmod(ap, e1 + e2, fp).coeffs) == _rem(product, f, p)
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(1), st.integers(0, 40))
+def test_powmod_with_any_modulus_matches_schoolbook(case, e):
+    # the modulus keeps its drawn leading coefficient, usually not 1
+    p, f, (a,) = case
+    got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
+    assert list(got.coeffs) == reference_powmod(_trim(list(a)), e, f, p)
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(1))
+def test_frobenius_step_is_the_p_th_power(case):
+    p, f, (w,) = case
+    f = monic(f, p)
+    n = len(f) - 1
+    if n < 2:
+        return  # DDF never applies Q below degree 2
+    residues = _Residues(f, p)
+    xp = residues.power([0, 1] + [0] * (n - 2), p)
+    step = residues.apply(w, residues.frobenius(xp))
+    assert PolyFp(p, tuple(step)) == powmod(PolyFp(p, tuple(w)), p, PolyFp(p, tuple(f)))
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(1, degrees=st.integers(1, 2)), st.integers(0, 10 ** 6))
+def test_degree_one_and_two_moduli(case, e):
+    p, f, (a,) = case
+    got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
+    assert list(got.coeffs) == reference_powmod(_trim(list(a)), e, f, p)
+    assert ddf_cycle_type(PolyFp(p, tuple(f))) == reference_ddf(PolyFp(p, tuple(f)))

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -55,6 +56,24 @@ def test_degree_and_normalization():
     assert PolyQ.from_coeffs([1, 2, 0, 0]).degree == 1
     assert PolyQ.zero().degree == -1
     assert PolyQ.from_coeffs(["1/2", 3]).coeffs == (Fraction(1, 2), Fraction(3))
+
+
+def test_hash_is_stable_across_construction_and_pickling():
+    # polynomials key the Frobenius cache, and pool workers receive pickled ones
+    f = rubik_f()
+    built = [
+        PolyQ.from_coeffs([str(c) for c in f.coeffs] + [0, 0]),
+        PolyQ(tuple(Fraction(c.numerator * 3, c.denominator * 3) for c in f.coeffs)),
+        f + PolyQ.from_coeffs([1, "1/2"]) - PolyQ.from_coeffs([1, "1/2"]),
+        pickle.loads(pickle.dumps(f)),
+    ]
+    cache = {(f, 4409): "type"}
+    for g in built:
+        assert g == f and hash(g) == hash(f)
+        assert cache[g, 4409] == "type"
+    # the dataclass hash, so derived poly ids do not change
+    assert hash(f) == hash((f.coeffs,))
+    assert PolyQ.from_coeffs([1, 2]) != PolyQ.from_coeffs([2, 1])
 
 
 def test_degree_multiplicative():

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubegal"
@@ -12,4 +13,21 @@ def test_no_assert_statements_in_package():
              for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on a bare interpreter: no numpy, gmpy2 or sympy
+    allowed = set(sys.stdlib_module_names) | {"cubegal"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
