@@ -8,15 +8,17 @@ level by direct computation, so the published order and the membership
 test are certificates, not Monte Carlo claims.
 
 All orders are exact arbitrary-precision integers.  The chain works on
-bare 0-based image tables and composes and inverts them with the
-kernels of `perm`, which alone defines the representation.
+the permutations' own 0-based image tables, 256-byte ``bytes`` padded
+with the identity (see `perm`), so nothing is converted per call:
+``q.translate(p)`` composes p o q, ``bytes.maketrans(p, IDENT256)``
+inverts p, and equality with ``IDENT256`` tests for the identity.
 """
 
 from __future__ import annotations
 
 import random
 
-from .perm import Permutation, _compose, _identity, _inverse
+from .perm import IDENT256, Permutation
 
 DEFAULT_SEED = 1
 _PR_SLOTS = 10
@@ -27,11 +29,11 @@ _CLEAN_SIFTS = 20
 class _Level:
     __slots__ = ("point", "gens", "trans", "invtrans")
 
-    def __init__(self, point: int, ident: tuple[int, ...], gens=()):
+    def __init__(self, point: int, gens=()):
         self.point = point
-        self.gens: list[tuple[int, ...]] = list(gens)
-        self.trans: dict[int, tuple[int, ...]] = {point: ident}
-        self.invtrans: dict[int, tuple[int, ...]] = {point: ident}
+        self.gens: list[bytes] = list(gens)
+        self.trans: dict[int, bytes] = {point: IDENT256}
+        self.invtrans: dict[int, bytes] = {point: IDENT256}
 
 
 class ProductReplacementSampler:
@@ -43,15 +45,16 @@ class ProductReplacementSampler:
 
     def __init__(self, generators, seed: int,
                  slots: int = _PR_SLOTS, burnin: int = _PR_BURNIN):
-        gens = [g.raw for g in generators]
+        gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
-        self._slots = [gens[i % len(gens)] for i in range(slots)]
+        self._degree = gens[0].degree
+        self._slots = [gens[i % len(gens)]._img for i in range(slots)]
         self._rng = random.Random(seed)
         for _ in range(burnin):
             self._step()
 
-    def _step(self) -> tuple[int, ...]:
+    def _step(self) -> bytes:
         rng = self._rng
         k = len(self._slots)
         i = rng.randrange(k)
@@ -60,12 +63,12 @@ class ProductReplacementSampler:
             j += 1
         a, b = self._slots[i], self._slots[j]
         if rng.random() < 0.5:
-            b = _inverse(b)
-        self._slots[i] = _compose(a, b) if rng.random() < 0.5 else _compose(b, a)
+            b = bytes.maketrans(b, IDENT256)
+        self._slots[i] = b.translate(a) if rng.random() < 0.5 else a.translate(b)
         return self._slots[i]
 
     def next(self) -> Permutation:
-        return Permutation._wrap(self._step())
+        return Permutation._wrap(self._step(), self._degree)
 
 
 class PermutationGroup:
@@ -82,7 +85,6 @@ class PermutationGroup:
             raise ValueError("degree mismatch among generators")
         self.degree = degree
         self.generators: list[Permutation] = gens
-        self._ident = _identity(degree)
         self._levels: list[_Level] = []
         self._build(seed)
         self._order = 1
@@ -107,17 +109,17 @@ class PermutationGroup:
 
     @property
     def strong_generators(self) -> list[Permutation]:
-        seen: dict[tuple[int, ...], None] = {}
+        seen: dict[bytes, None] = {}
         for lvl in self._levels:
             for g in lvl.gens:
                 seen.setdefault(g)
-        return [Permutation._wrap(g) for g in seen]
+        return [Permutation._wrap(g, self.degree) for g in seen]
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        residue, _ = self._sift(p.raw)
-        return residue == self._ident
+        residue, _ = self._sift(p._img)
+        return residue == IDENT256
 
     def random_element(self, seed: int) -> Permutation:
         """One group element; equal seeds return equal elements."""
@@ -128,7 +130,7 @@ class PermutationGroup:
 
     # -- chain internals ----------------------------------------------------
 
-    def _sift(self, p: tuple[int, ...], start: int = 0):
+    def _sift(self, p: bytes, start: int = 0):
         """Reduce p through levels start.. of the chain; returns (residue,
         level it stuck at).
 
@@ -144,10 +146,10 @@ class PermutationGroup:
             inv = lvl.invtrans.get(beta)
             if inv is None:
                 return p, idx
-            p = _compose(inv, p)
+            p = p.translate(inv)
         return p, len(levels)
 
-    def _extend_orbit(self, lvl: _Level) -> list[tuple[int, ...]]:
+    def _extend_orbit(self, lvl: _Level) -> list[bytes]:
         """Close lvl's basic orbit and transversals under lvl.gens,
         breadth first; returns the generators that first reached a new
         point, in first-use order."""
@@ -155,7 +157,7 @@ class PermutationGroup:
         invtrans = lvl.invtrans
         frontier = list(trans)
         gens = lvl.gens
-        used: dict[tuple[int, ...], None] = {}
+        used: dict[bytes, None] = {}
         while frontier:
             fresh = []
             for beta in frontier:
@@ -163,15 +165,15 @@ class PermutationGroup:
                 for s in gens:
                     gamma = s[beta]
                     if gamma not in trans:
-                        w = _compose(s, u)
+                        w = u.translate(s)
                         trans[gamma] = w
-                        invtrans[gamma] = _inverse(w)
+                        invtrans[gamma] = bytes.maketrans(w, IDENT256)
                         fresh.append(gamma)
                         used.setdefault(s)
             frontier = fresh
         return list(used)
 
-    def _add_strong(self, g: tuple[int, ...], stick: int):
+    def _add_strong(self, g: bytes, stick: int):
         """Adjoin the sift residue g to levels 0..stick.
 
         g fixes every base point before `stick`, so it belongs to each of
@@ -182,7 +184,7 @@ class PermutationGroup:
         """
         if stick == len(self._levels):
             point = next(i for i, x in enumerate(g) if x != i)
-            self._levels.append(_Level(point, self._ident))
+            self._levels.append(_Level(point))
         for i in range(stick + 1):
             lvl = self._levels[i]
             lvl.gens.append(g)
@@ -194,7 +196,7 @@ class PermutationGroup:
         grew = False
         for g in gens:
             residue, stick = self._sift(g)
-            if residue != self._ident:
+            if residue != IDENT256:
                 self._add_strong(residue, stick)
                 grew = True
         return grew
@@ -203,7 +205,7 @@ class PermutationGroup:
         inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
         if not inputs:
             return  # trivial group: empty chain, order 1
-        raw_gens = [g.raw for g in inputs]
+        raw_gens = [g._img for g in inputs]
         while self._adjoin(raw_gens):
             pass
         sampler = ProductReplacementSampler(inputs, seed)
@@ -219,7 +221,7 @@ class PermutationGroup:
         while self._adjoin(raw_gens):
             self._verify()
 
-    def _prune(self, protected: set[tuple[int, ...]]):
+    def _prune(self, protected: set[bytes]):
         """Drop strong generators that never extend their level's orbit.
 
         One orbit walk per level from scratch records which generators
@@ -231,14 +233,13 @@ class PermutationGroup:
         never dropped from the top level: the certified group must remain
         the group they generate.
         """
-        ident = self._ident
         for depth, lvl in enumerate(self._levels):
-            kept = self._extend_orbit(_Level(lvl.point, ident, lvl.gens))
+            kept = self._extend_orbit(_Level(lvl.point, lvl.gens))
             if depth == 0:
                 for g in lvl.gens:
                     if g in protected and g not in kept:
                         kept.append(g)
-            pruned = _Level(lvl.point, ident, kept)
+            pruned = _Level(lvl.point, kept)
             self._extend_orbit(pruned)
             if pruned.trans.keys() != lvl.trans.keys():
                 raise AssertionError("pruned generators no longer span the basic orbit")
@@ -254,11 +255,11 @@ class PermutationGroup:
         for beta, u in lvl.trans.items():
             for s in lvl.gens:
                 gamma = s[beta]
-                w = _compose(s, u)
+                w = u.translate(s)
                 if w == lvl.trans[gamma]:
                     continue
-                residue, stick = self._sift(_compose(lvl.invtrans[gamma], w), i + 1)
-                if stick < len(self._levels) or residue != self._ident:
+                residue, stick = self._sift(w.translate(lvl.invtrans[gamma]), i + 1)
+                if stick < len(self._levels) or residue != IDENT256:
                     return residue, stick
         return None
 

@@ -76,6 +76,18 @@ def _exact_str(value: Fraction) -> str:
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
+def _write(args, payload: str) -> None:
+    """Write the report to --out, or to standard output without it."""
+    if not args.out:
+        sys.stdout.write(payload)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise _UsageError(f"--out {args.out}: {exc.strerror or exc}") from None
+
+
 def _emit(args, text_lines: list[str], checks: list[CheckReport]) -> int:
     if args.report == "json":
         doc = {
@@ -93,11 +105,7 @@ def _emit(args, text_lines: list[str], checks: list[CheckReport]) -> int:
             counts = summarize(checks)
             body.append("summary: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
         payload = "\n".join(body) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args, payload)
     return 1 if any(c.status == "fail" for c in checks) else 0
 
 
@@ -138,11 +146,7 @@ def _cmd_gens(args) -> int:
         payload = json.dumps(doc, indent=1) + "\n"
     else:
         payload = "\n".join(f"{n} = {c}" for n, c in entries) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write(args, payload)
     return 0
 
 

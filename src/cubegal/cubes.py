@@ -153,12 +153,6 @@ class StickerModel:
                 list(self.generators.values()), seed=seed)
         return self._group_cache[seed]
 
-    def class_of(self, point: int) -> str:
-        for name, pts in self.classes.items():
-            if point in pts:
-                return name
-        raise ValueError(f"point {point} out of range")
-
     def block_index(self, class_name: str) -> dict[int, int]:
         """sticker -> 0-based position of its block in blocks[class_name]."""
         out: dict[int, int] = {}

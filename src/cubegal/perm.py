@@ -1,4 +1,4 @@
-"""Exact permutations on the finite point set {1..n}.
+"""Exact permutations on the finite point set {1..n}, n <= 256.
 
 Composition convention, used everywhere in this package:
 
@@ -9,10 +9,13 @@ dedicated test; all other modules import it implicitly by using ``*``.
 
 Points are 1-based in every public interface (matching the sticker
 labels 1..144 of the cube models).  The internal image table is
-0-based.  This module alone knows how that table is stored: the private
-kernels ``_identity``, ``_compose`` and ``_inverse`` act on bare tables,
-``Permutation`` wraps them, and the group engine (``bsgs``) imports them
-to work on unwrapped tables in its hot loops.
+0-based and is the only representation: a 256-byte ``bytes`` object
+whose entries past the degree are the identity (``IDENT256``).  Byte
+operations implemented in C then do the work: ``q.translate(p)`` is the
+table of p o q, ``bytes.maketrans(p, IDENT256)`` is the table of p's
+inverse, and equality with ``IDENT256`` is the identity test.  The
+group engine (``bsgs``) works on these padded tables directly.
+``Permutation.raw`` gives the exact-length table, ``bytes`` of length n.
 """
 
 from __future__ import annotations
@@ -20,21 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-
-def _identity(degree: int) -> tuple[int, ...]:
-    return tuple(range(degree))
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(i) = p(q(i))
-    return tuple(map(p.__getitem__, q))
+MAX_DEGREE = 256
+IDENT256 = bytes(range(MAX_DEGREE))
 
 
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds {MAX_DEGREE}")
 
 
 @dataclass(frozen=True, order=True)
@@ -52,10 +47,6 @@ class CycleType:
             raise ValueError("cycle type parts must be positive")
         ordered = tuple(sorted(self.parts, reverse=True))
         object.__setattr__(self, "parts", ordered)
-
-    @classmethod
-    def from_parts(cls, parts) -> "CycleType":
-        return cls(tuple(parts))
 
     @property
     def degree(self) -> int:
@@ -78,33 +69,31 @@ class CycleType:
 class Permutation:
     """An immutable bijection of {1..n}."""
 
-    __slots__ = ("_img", "_hash")
+    __slots__ = ("_img", "_degree")
 
     def __init__(self, images):
         """Build from the image table: images[i] is the image of point i+1 (1-based values)."""
-        img = tuple(x - 1 for x in images)
+        img = [x - 1 for x in images]
         n = len(img)
-        seen = [False] * n
-        for x in img:
-            if not 0 <= x < n or seen[x]:
-                raise ValueError("image table is not a bijection of {1..%d}" % n)
-            seen[x] = True
-        object.__setattr__(self, "_img", img)
-        object.__setattr__(self, "_hash", hash(img))
+        _check_degree(n)
+        if set(img) != set(range(n)):
+            raise ValueError("image table is not a bijection of {1..%d}" % n)
+        self._img = bytes(img) + IDENT256[n:]
+        self._degree = n
 
-    # -- internal fast path: trusted 0-based tuples ----------------------
+    # -- internal fast path: trusted padded tables -------------------------
 
     @classmethod
-    def _wrap(cls, img: tuple[int, ...]) -> "Permutation":
+    def _wrap(cls, img: bytes, degree: int) -> "Permutation":
         self = object.__new__(cls)
-        object.__setattr__(self, "_img", img)
-        object.__setattr__(self, "_hash", hash(img))
+        self._img = img
+        self._degree = degree
         return self
 
     @property
-    def raw(self) -> tuple[int, ...]:
-        """0-based image tuple; used by the group engine."""
-        return self._img
+    def raw(self) -> bytes:
+        """0-based image table of length n."""
+        return self._img[:self._degree]
 
     # -- construction -----------------------------------------------------
 
@@ -112,12 +101,14 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 1:
             raise ValueError("degree must be positive")
-        return cls._wrap(_identity(degree))
+        _check_degree(degree)
+        return cls._wrap(IDENT256, degree)
 
     @classmethod
     def from_cycles(cls, cycles, degree: int) -> "Permutation":
         """Product of the given disjoint cycles (1-based points)."""
-        img = list(range(degree))
+        _check_degree(degree)
+        img = bytearray(IDENT256)
         seen = set()
         for cyc in cycles:
             for a in cyc:
@@ -128,34 +119,33 @@ class Permutation:
                 seen.add(a)
             for i, a in enumerate(cyc):
                 img[a - 1] = cyc[(i + 1) % len(cyc)] - 1
-        return cls._wrap(tuple(img))
+        return cls._wrap(bytes(img), degree)
 
     # -- basic protocol -----------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self._img)
+        return self._degree
 
     def __call__(self, point: int) -> int:
-        if not 1 <= point <= len(self._img):
+        if not 1 <= point <= self._degree:
             raise ValueError(f"point {point} out of range")
         return self._img[point - 1] + 1
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        if len(self._img) != len(other._img):
+        if self._degree != other._degree:
             raise ValueError("degree mismatch")
-        return Permutation._wrap(_compose(self._img, other._img))
+        return Permutation._wrap(other._img.translate(self._img), self._degree)
 
     def inverse(self) -> "Permutation":
-        return Permutation._wrap(_inverse(self._img))
+        return Permutation._wrap(bytes.maketrans(self._img, IDENT256), self._degree)
 
     def __pow__(self, k: int) -> "Permutation":
-        n = len(self._img)
         if k < 0:
             return self.inverse() ** (-k)
-        result = Permutation.identity(n)
+        result = Permutation.identity(self._degree)
         base = self
         while k:
             if k & 1:
@@ -165,10 +155,11 @@ class Permutation:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self._img == other._img
+        return (isinstance(other, Permutation) and self._img == other._img
+                and self._degree == other._degree)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._img)
 
     def __repr__(self) -> str:
         return f"Permutation({self.degree}: {print_cycles(self) or 'id'})"
@@ -176,15 +167,15 @@ class Permutation:
     # -- structure ----------------------------------------------------------
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self._img))
+        return self._img == IDENT256
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 1-based, each rotated to start at its least
         point, sorted by that least point."""
         img = self._img
-        seen = [False] * len(img)
+        seen = [False] * self._degree
         out = []
-        for start in range(len(img)):
+        for start in range(self._degree):
             if seen[start] or img[start] == start:
                 seen[start] = True
                 continue
@@ -199,9 +190,9 @@ class Permutation:
 
     def cycle_type(self) -> CycleType:
         img = self._img
-        seen = [False] * len(img)
+        seen = [False] * self._degree
         parts = []
-        for start in range(len(img)):
+        for start in range(self._degree):
             if seen[start]:
                 continue
             length = 0

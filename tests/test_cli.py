@@ -3,6 +3,7 @@ import random
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,11 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
      '{"degree": 3, "coefficients": ["-1", "-1", "0", "1"]}'),
     (["frobenius", "--poly", "{poly}", "--primes", "5"],
      '{"degree": 2, "coefficients": ["1", "2", "1"]}'),
+    # --out into a directory that does not exist, or under a plain file
+    (["gens", "--cube", "3", "--out", "{poly}/x"], None),
+    (["order", "--cube", "3", "--out", "{poly}/x"], None),
+    (["disc", "--poly", "{poly}", "--out", "{poly}/x"],
+     '{"degree": 1, "coefficients": ["1", "1"]}'),
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     path = tmp_path / "poly.json"
@@ -205,3 +211,30 @@ def test_default_jobs_counts_cpus_available_to_the_process(monkeypatch):
     assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 1
     monkeypatch.delattr("os.sched_getaffinity", raising=False)
     assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 64
+
+
+# the reports the benchmark recorded at its seed commit; read in place, so
+# the benchmark and this test share one source of truth
+_RECORDED = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "expected_reports.json")
+    .read_text(encoding="utf-8"))
+
+
+_RECORDED_COMMANDS = {
+    "order3": ["order", "--cube", "3"],
+    "order4": ["order", "--cube", "4"],
+    "order5": ["order", "--cube", "5"],
+    "verify_rubik": ["verify", "--theorem", "rubik", "--jobs", "1"],
+    "verify_revenge": ["verify", "--theorem", "revenge", "--jobs", "1"],
+    "verify_professor": ["verify", "--theorem", "professor", "--jobs", "1"],
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDED_COMMANDS))
+def test_report_equals_the_recorded_one(capsys, name):
+    code, out = run_cli(capsys, *_RECORDED_COMMANDS[name], "--report", "json")
+    assert code == 0
+    report = json.loads(out)
+    for check in report["checks"]:
+        del check["ms"]
+    assert report == _RECORDED[name]

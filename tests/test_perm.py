@@ -52,6 +52,34 @@ def test_compose_degree_mismatch():
         parse_cycles("(1 2)", 2) * parse_cycles("(1 2)", 3)
 
 
+def test_degree_above_256_is_rejected():
+    images = list(range(1, 258))
+    with pytest.raises(ValueError):
+        Permutation(images)
+    with pytest.raises(ValueError):
+        Permutation.identity(257)
+    with pytest.raises(ValueError):
+        Permutation.from_cycles([(1, 257)], 257)
+    assert Permutation(images[:256]).degree == 256
+
+
+def test_raw_is_the_exact_length_table():
+    for p in (parse_cycles("(1 3 2)", 3), Permutation.identity(7),
+              Permutation.from_cycles([(2, 5)], 5), parse_cycles("(1 256)", 256)):
+        assert type(p.raw) is bytes
+        assert len(p.raw) == p.degree
+        assert [x + 1 for x in p.raw] == [p(i) for i in range(1, p.degree + 1)]
+
+
+def test_equal_tables_of_different_degrees_differ():
+    small, large = Permutation.identity(3), Permutation.identity(4)
+    assert small != large
+    assert parse_cycles("(1 2)", 3) != parse_cycles("(1 2)", 4)
+    with pytest.raises(ValueError):
+        small * large
+    assert small == Permutation([1, 2, 3]) and hash(small) == hash(Permutation([1, 2, 3]))
+
+
 def test_involution_and_identity_composition():
     t = parse_cycles("(1 2)", 4)
     assert (t * t).is_identity()
