@@ -149,20 +149,27 @@ class PermutationGroup:
             p = p.translate(inv)
         return p, len(levels)
 
-    def _extend_orbit(self, lvl: _Level) -> list[bytes]:
+    def _extend_orbit(self, lvl: _Level, new: bytes | None = None) -> list[bytes]:
         """Close lvl's basic orbit and transversals under lvl.gens,
         breadth first; returns the generators that first reached a new
-        point, in first-use order."""
+        point, in first-use order.
+
+        When the orbit is already closed under every generator but the
+        last one, `new`, the first round applies only `new` to it: the
+        other generators would find nothing, so the transversals come out
+        the same and in the same order.
+        """
         trans = lvl.trans
         invtrans = lvl.invtrans
         frontier = list(trans)
         gens = lvl.gens
+        round_gens = gens if new is None else (new,)
         used: dict[bytes, None] = {}
         while frontier:
             fresh = []
             for beta in frontier:
                 u = trans[beta]
-                for s in gens:
+                for s in round_gens:
                     gamma = s[beta]
                     if gamma not in trans:
                         w = u.translate(s)
@@ -171,6 +178,7 @@ class PermutationGroup:
                         fresh.append(gamma)
                         used.setdefault(s)
             frontier = fresh
+            round_gens = gens
         return list(used)
 
     def _add_strong(self, g: bytes, stick: int):
@@ -188,7 +196,7 @@ class PermutationGroup:
         for i in range(stick + 1):
             lvl = self._levels[i]
             lvl.gens.append(g)
-            self._extend_orbit(lvl)
+            self._extend_orbit(lvl, g)
 
     def _adjoin(self, gens) -> bool:
         """Sift each of gens and adjoin every nontrivial residue; returns

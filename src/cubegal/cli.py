@@ -162,7 +162,10 @@ def _cmd_disc(args) -> int:
         actual=d_str, citation="resultant-based discriminant", ms=ms,
     )]
     if args.square_class_vs is not None:
-        ok = square_class_equal(d, args.square_class_vs)
+        try:
+            ok = square_class_equal(d, args.square_class_vs)
+        except ValueError as exc:  # a zero discriminant or a zero INT
+            raise _UsageError(f"--square-class-vs {args.square_class_vs}: {exc}") from None
         checks.append(CheckReport(
             check_id="disc.square_class", status="pass" if ok else "fail",
             expected=f"same square class as {args.square_class_vs}",

@@ -10,6 +10,11 @@ The checks built on top:
   class (the Frobenius sign is determined by the quadratic subfield);
 * a sound full-symmetric-group certifier.
 
+Every scan, linkage and certificate uses one budget and one stop rule:
+it examines the first primes good for all of its polynomials, and stops
+after `budget` of them or after _SEARCH_FACTOR (10) x `budget` primes
+examined, good or bad, whichever comes first.
+
 The certifier's soundness chain, each step classical (see Wielandt,
 "Finite Permutation Groups", Th. 13.9, or Dixon & Mortimer, "Permutation
 Groups", Th. 3.3E; Dedekind's reduction theorem links factor degrees to
@@ -37,8 +42,8 @@ import functools
 from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import islice, product
 from math import prod
 
 from .perm import CycleType
@@ -50,7 +55,7 @@ DEFAULT_SCAN_BUDGET = 500
 DEFAULT_LINKAGE_BUDGET = 300
 DEFAULT_TRIPLE_BUDGET = 200
 DEFAULT_CERTIFY_BUDGET = 2000
-# scans give up after examining this multiple of the requested budget
+# every stream gives up after examining this multiple of its budget
 _SEARCH_FACTOR = 10
 # statistical sanity thresholds used by the distribution checks
 MIN_DISTINCT_TYPES_S24 = 50
@@ -70,28 +75,30 @@ def _type_worker(key):
     return frobenius_type(*key)
 
 
-def _frobenius_stream(polys, jobs: int):
-    """Yield (p, types) for consecutive primes p, where types[i] is the
-    Frobenius cycle type of polys[i] at p, or None where p is bad for it.
+def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = None):
+    """Yield (p, types) for consecutive primes p good for every poly in
+    polys, where types[i] is the Frobenius cycle type of polys[i] at p;
+    primes bad for some poly are skipped, and appended to `bad` if given.
+    The stream ends after `budget` good primes or after
+    _SEARCH_FACTOR * budget primes examined, whichever comes first.
 
     Types come from the shared cache; misses are computed here at
-    jobs == 1, one prime at a time, so no prime is drawn ahead.  At
-    jobs > 1 primes are drawn in batches of _POOL_CHUNK and the misses of
-    each batch go to one worker pool, started at the first miss and shut
-    down when the stream is closed.  (Executor.map would drain the
-    endless prime stream up front, hence the batches.)  Callers close the
-    stream with contextlib.closing so the pool never outlives them.
+    jobs == 1, one prime at a time, so no prime is drawn ahead of the
+    consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
+    the misses of each batch go to one worker pool, started at the first
+    miss and shut down when the stream ends or is closed.  (Executor.map
+    would drain the endless prime stream up front, hence the batches.)  A
+    caller that stops early closes the stream with contextlib.closing, so
+    the pool never outlives it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    examined = islice(primes(), _SEARCH_FACTOR * budget)
     batch_size = _POOL_CHUNK if jobs > 1 else 1
+    good = 0
     with ExitStack() as stack:
         pool = None
-        batch: list[int] = []
-        for p in primes():
-            batch.append(p)
-            if len(batch) < batch_size:
-                continue
+        for batch in iter(lambda: list(islice(examined, batch_size)), []):
             keys = dict.fromkeys((f, q) for q in batch for f in polys)
             types = {key: _TYPES[key] for key in keys if key in _TYPES}
             misses = [key for key in keys if key not in types]
@@ -106,8 +113,15 @@ def _frobenius_stream(polys, jobs: int):
             while len(_TYPES) > _TYPES_MAX:
                 _TYPES.popitem(last=False)
             for q in batch:
-                yield q, [types[f, q] for f in polys]
-            batch = []
+                at_q = [types[f, q] for f in polys]
+                if None in at_q:
+                    if bad is not None:
+                        bad.append(q)
+                    continue
+                yield q, at_q
+                good += 1
+                if good == budget:
+                    return
 
 
 @dataclass
@@ -115,19 +129,29 @@ class EvidenceProfile:
     """Observed Frobenius data for one polynomial."""
 
     poly_id: str
-    primes_scanned: int
+    types_by_prime: dict[int, CycleType]
     bad_primes: list[int]
-    observed_types: Counter
-    parity_history: list[int]
-    types_by_prime: dict[int, CycleType] = field(default_factory=dict)
+
+    @property
+    def primes_scanned(self) -> int:
+        return len(self.types_by_prime)
+
+    @property
+    def observed_types(self) -> Counter:
+        return Counter(self.types_by_prime.values())
+
+    @property
+    def parity_history(self) -> list[int]:
+        return [t.parity for t in self.types_by_prime.values()]
 
     def distinct_types(self) -> int:
         return len(self.observed_types)
 
     def even_fraction(self) -> float:
-        if not self.parity_history:
+        history = self.parity_history
+        if not history:
             return 0.0
-        return sum(1 for s in self.parity_history if s == 1) / len(self.parity_history)
+        return history.count(1) / len(history)
 
     def summary(self) -> dict:
         return {
@@ -150,27 +174,12 @@ def scan(f: PolyQ, prime_budget: int = DEFAULT_SCAN_BUDGET, *,
     """
     if poly_id is None:
         poly_id = f"deg{f.degree}-{abs(hash(f)) % 10**8:08d}"
-    good: list[tuple[int, CycleType]] = []
     bad: list[int] = []
-    examined = 0
-    with closing(_frobenius_stream([f], jobs)) as stream:
-        while len(good) < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
-            p, (t,) = next(stream)
-            examined += 1
-            if t is None:
-                bad.append(p)
-            else:
-                good.append((p, t))
-    if len(good) < min(5, prime_budget):
-        raise ValueError(f"only {len(good)} good primes within {_SEARCH_FACTOR}x budget")
-    return EvidenceProfile(
-        poly_id=poly_id,
-        primes_scanned=len(good),
-        bad_primes=bad,
-        observed_types=Counter(t for _, t in good),
-        parity_history=[t.parity for _, t in good],
-        types_by_prime=dict(good),
-    )
+    types_by_prime = {p: t for p, (t,) in _frobenius_stream([f], jobs, prime_budget, bad)}
+    if len(types_by_prime) < min(5, prime_budget):
+        raise ValueError(f"only {len(types_by_prime)} good primes within "
+                         f"{_SEARCH_FACTOR}x budget")
+    return EvidenceProfile(poly_id, types_by_prime, bad)
 
 
 # -- predicted cycle types of restricted wreath products ---------------------
@@ -236,18 +245,13 @@ class SymmetricCertificate:
     primitive_prime: int
     jordan_prime: int
     jordan_cycle: int
-    disc_nonsquare: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.disc_nonsquare
 
     def witnesses(self) -> str:
         return (f"witnesses p={self.transitive_prime},{self.primitive_prime},"
                 f"{self.jordan_prime} (q={self.jordan_cycle})")
 
     def revalidate(self, f: PolyQ) -> bool:
-        """Recompute every witness from scratch."""
+        """Recompute every witness, and the discriminant, from scratch."""
         n = f.degree
         if n != self.degree:
             return False
@@ -269,8 +273,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 def _jordan_witness(t: CycleType, n: int, q: int | None = None) -> int | None:
     """A prime q <= n-3 occurring exactly once in t and dividing no other
     part; powering the Frobenius by the lcm of the other parts then
-    isolates a q-cycle.  Returns the witness q (or None)."""
-    candidates = [q] if q else [c for c in _SMALL_PRIMES if c <= n - 3]
+    isolates a q-cycle.  Returns the witness q (or None).  A given q is
+    checked, and must meet the same conditions as a searched one."""
+    candidates = [c for c in _SMALL_PRIMES if c <= n - 3]
+    if q is not None:
+        candidates = [q] if q in candidates else []
     for cand in candidates:
         occurrences = t.parts.count(cand)
         if occurrences != 1:
@@ -282,7 +289,8 @@ def _jordan_witness(t: CycleType, n: int, q: int | None = None) -> int | None:
 
 def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
                       jobs: int = 1) -> SymmetricCertificate | None:
-    """Search good primes for the three witnesses; None means inconclusive.
+    """Search the budget's good primes for the three witnesses; None
+    means inconclusive.
 
     A square discriminant makes the symmetric group impossible, so the
     search is skipped and None returned immediately.
@@ -297,13 +305,8 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
         return None
     transitive = primitive = jordan = None
     jordan_q = None
-    good = 0
-    with closing(_frobenius_stream([f], jobs)) as stream:
-        while good < prime_budget:
-            p, (t,) = next(stream)
-            if t is None:
-                continue
-            good += 1
+    with closing(_frobenius_stream([f], jobs, prime_budget)) as stream:
+        for p, (t,) in stream:
             if transitive is None and t.parts == (n,):
                 transitive = p
             if primitive is None and t.parts == (n - 1, 1):
@@ -313,14 +316,9 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
                 if q is not None:
                     jordan, jordan_q = p, q
             if transitive and primitive and jordan:
-                return SymmetricCertificate(
-                    degree=n,
-                    transitive_prime=transitive,
-                    primitive_prime=primitive,
-                    jordan_prime=jordan,
-                    jordan_cycle=jordan_q,
-                    disc_nonsquare=True,
-                )
+                return SymmetricCertificate(degree=n, transitive_prime=transitive,
+                                            primitive_prime=primitive, jordan_prime=jordan,
+                                            jordan_cycle=jordan_q)
     return None
 
 
@@ -344,19 +342,10 @@ def _linkage(polys, prime_budget: int, jobs: int) -> LinkageReport:
     prime good for all of them; violations are (p, *types)."""
     if any(discriminant(poly) == 0 for poly in polys):
         raise ValueError("inputs must be separable")
-    checked = 0
-    violations: list[tuple] = []
-    examined = 0
-    with closing(_frobenius_stream(polys, jobs)) as stream:
-        while checked < prime_budget and examined < _SEARCH_FACTOR * prime_budget:
-            p, types = next(stream)
-            examined += 1
-            if None in types:
-                continue
-            checked += 1
-            if types[0].parity != prod(t.parity for t in types[1:]):
-                violations.append((p, *types))
-    return LinkageReport(primes_checked=checked, violations=violations)
+    rows = list(_frobenius_stream(polys, jobs, prime_budget))
+    violations = [(p, *types) for p, types in rows
+                  if types[0].parity != prod(t.parity for t in types[1:])]
+    return LinkageReport(primes_checked=len(rows), violations=violations)
 
 
 def parity_linkage(f: PolyQ, g: PolyQ,

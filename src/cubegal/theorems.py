@@ -220,10 +220,12 @@ def summarize(checks: list[CheckReport]) -> dict:
 
 def _run(checks: list[CheckReport], check_id: str, citation: str,
          expected: str, fn) -> CheckReport:
+    """Run fn() -> (ok, actual) as one check: ok True passes, False fails
+    and None is inconclusive; an exception fails with its message."""
     start = time.perf_counter()
     try:
         ok, actual = fn()
-        status = "pass" if ok else "fail"
+        status = "inconclusive" if ok is None else "pass" if ok else "fail"
     except Exception as exc:  # report, never crash a suite
         status, actual = "fail", f"error: {exc}"
     report = CheckReport(check_id=check_id, status=status, expected=expected,
@@ -240,11 +242,30 @@ def _run_certify(checks: list[CheckReport], check_id: str, citation: str,
     def certify():
         cert = certify_symmetric(poly, opts.certify_budget, jobs=opts.jobs)
         if cert is None:
-            return False, "inconclusive"
+            return None, "inconclusive"
         return cert.revalidate(poly), cert.witnesses()
-    report = _run(checks, check_id, citation, "valid certificate", certify)
-    if report.actual == "inconclusive":
-        report.status = "inconclusive"
+    _run(checks, check_id, citation, "valid certificate", certify)
+
+
+def _run_order(checks: list[CheckReport], check_id: str, cube: str,
+               predicted_order, exact: int) -> None:
+    """An order-arithmetic check: the predicted group order against the
+    exact digits."""
+    def arith():
+        predicted = predicted_order()
+        return predicted == exact, str(predicted)
+    _run(checks, check_id, f"order of the {cube} group, exact digits", str(exact), arith)
+
+
+def _class_check(a, b, label: str = "square_class_equal"):
+    """(ok, text) for a square-class comparison of a and b."""
+    ok = square_class_equal(a, b)
+    return ok, f"{label} = {ok}"
+
+
+def _violations(rep: evidence.LinkageReport):
+    """(ok, text) for a parity-linkage report."""
+    return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
 
 
 @dataclass
@@ -272,44 +293,34 @@ def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
     f, g = rubik_f(), rubik_g()
     q = rubik_g_resolvent()
 
-    def disc_resolvent():
-        ok = square_class_equal(discriminant(f), discriminant(q))
-        return ok, f"square_class_equal(disc f, disc q) = {ok}"
     _run(checks, "rubik.disc_class_f_equals_g_resolvent",
          "the sign linkage compares disc f with the discriminant of the "
          "degree-12 companion q, g(X) = q(X^2)",
-         "disc f == disc q in Q*/(Q*)^2", disc_resolvent)
+         "disc f == disc q in Q*/(Q*)^2",
+         lambda: _class_check(discriminant(f), discriminant(q),
+                              "square_class_equal(disc f, disc q)"))
 
     def disc_pair_literal():
-        ok = square_class_equal(discriminant(f), discriminant(g))
+        ok, text = _class_check(discriminant(f), discriminant(g))
         if ok:
-            return True, "square_class_equal = True"
+            return True, text
         square = is_square(discriminant(g))
-        return False, (f"square_class_equal = False; disc g is "
-                       f"{'a perfect square' if square else 'not a square'} "
-                       "(every edge-group element is even on the 24 roots), "
-                       "so the class comparison that carries content is the "
-                       "resolvent check above")
-    literal = _run(checks, "rubik.disc_class_f_equals_g_literal",
-                   "dual check: the same comparison against disc g itself, "
-                   "reported as-is",
-                   "reported as-is, not auto-corrected", disc_pair_literal)
-    if literal.status == "fail":
-        literal.status = "inconclusive"
+        return None, (f"{text}; disc g is "
+                      f"{'a perfect square' if square else 'not a square'} "
+                      "(every edge-group element is even on the 24 roots), "
+                      "so the class comparison that carries content is the "
+                      "resolvent check above")
+    _run(checks, "rubik.disc_class_f_equals_g_literal",
+         "dual check: the same comparison against disc g itself, reported as-is",
+         "reported as-is, not auto-corrected", disc_pair_literal)
 
-    def disc_target():
-        ok = square_class_equal(discriminant(f), TARGET_CLASS)
-        return ok, f"square_class_equal(disc f, {TARGET_CLASS}) = {ok}"
     _run(checks, "rubik.disc_class_7c",
          f"unique quadratic subfield class 7*{C_COFACTOR}",
-         "disc f lies in the class of 7c", disc_target)
+         "disc f lies in the class of 7c",
+         lambda: _class_check(discriminant(f), TARGET_CLASS,
+                              f"square_class_equal(disc f, {TARGET_CLASS})"))
 
-    def n3_arith():
-        predicted = r3_predicted_order()
-        return predicted == R3_ORDER, str(predicted)
-    _run(checks, "rubik.fiber_order_n3",
-         "order of the Rubik's Cube group, exact digits",
-         str(R3_ORDER), n3_arith)
+    _run_order(checks, "rubik.fiber_order_n3", "Rubik's Cube", r3_predicted_order, R3_ORDER)
 
     profiles: dict[str, object] = {}
 
@@ -320,13 +331,13 @@ def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
                                   poly_id=f"rubik.{name}")
         return profiles[name]
 
-    def types_f():
-        prof = profile("f", f)
-        outside = types_within(prof, predict_wreath_types(3, 8))
+    def types_in_wreath(name, poly, n, m):
+        prof = profile(name, poly)
+        outside = types_within(prof, predict_wreath_types(n, m))
         return not outside, f"{len(outside)} types outside over {prof.primes_scanned} primes"
     _run(checks, "rubik.types_f_in_wreath_3_8",
          "Frobenius types of f must lie in the (C3 wr S8)^0 type set",
-         "0 types outside", types_f)
+         "0 types outside", lambda: types_in_wreath("f", f, 3, 8))
 
     def no_24cycle():
         count = profile("f", f).observed_types.get(CycleType((24,)), 0)
@@ -335,35 +346,26 @@ def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
          "a lone 8-block cycle forces twist sum zero, so no 24-cycle exists",
          "0 irreducible reductions", no_24cycle)
 
-    def types_g():
-        prof = profile("g", g)
-        outside = types_within(prof, predict_wreath_types(2, 12))
-        return not outside, f"{len(outside)} types outside over {prof.primes_scanned} primes"
     _run(checks, "rubik.types_g_in_wreath_2_12",
          "Frobenius types of g must lie in the (C2 wr S12)^0 type set",
-         "0 types outside", types_g)
+         "0 types outside", lambda: types_in_wreath("g", g, 2, 12))
 
-    def linkage_resolvent():
-        rep = parity_linkage(f, q, opts.linkage_budget, jobs=opts.jobs)
-        return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
     _run(checks, "rubik.parity_linkage_f_resolvent",
          "equal discriminant classes force equal Frobenius parities "
          "(f against the degree-12 companion)",
-         "0 violations", linkage_resolvent)
+         "0 violations",
+         lambda: _violations(parity_linkage(f, q, opts.linkage_budget, jobs=opts.jobs)))
 
     def linkage_literal():
-        rep = parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs)
-        if rep.ok:
-            return True, f"0 violations over {rep.primes_checked} primes"
-        return False, (f"{len(rep.violations)} violations over "
-                       f"{rep.primes_checked} primes; the g-side parity is "
-                       "constantly +1 (disc g is a square), so this pairing "
-                       "carries no linkage - see the resolvent check above")
-    literal = _run(checks, "rubik.parity_linkage_fg_literal",
-                   "dual check: parity linkage against g itself, reported as-is",
-                   "reported as-is, not auto-corrected", linkage_literal)
-    if literal.status == "fail":
-        literal.status = "inconclusive"
+        ok, text = _violations(parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs))
+        if ok:
+            return True, text
+        return None, (f"{text}; the g-side parity is constantly +1 (disc g is "
+                      "a square), so this pairing carries no linkage - see "
+                      "the resolvent check above")
+    _run(checks, "rubik.parity_linkage_fg_literal",
+         "dual check: parity linkage against g itself, reported as-is",
+         "reported as-is, not auto-corrected", linkage_literal)
     return checks
 
 
@@ -387,33 +389,22 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
          "displayed closed form 2^1728 3^576 s^2 (...)^-24 / (7^23 23^552 c^23) at s=1",
          "trinomial disc equals the displayed value", disp)
 
-    def disc_class():
-        ok = square_class_equal(trinomial_disc(params.t), TARGET_CLASS)
-        return ok, f"square_class_equal = {ok}"
     _run(checks, "revenge.disc_g_class_7c",
          f"disc of the trinomial factor must land in the class 7*{C_COFACTOR}",
-         "class equals 7c", disc_class)
+         "class equals 7c", lambda: _class_check(trinomial_disc(params.t), TARGET_CLASS))
 
-    def disc_pair():
-        ok = square_class_equal(discriminant(rubik_f()), discriminant(revenge_g()))
-        return ok, f"square_class_equal = {ok}"
     _run(checks, "revenge.disc_class_f_equals_g",
          "the dense factor and the trinomial factor share the class 7c",
-         "disc f == disc g in Q*/(Q*)^2", disc_pair)
+         "disc f == disc g in Q*/(Q*)^2",
+         lambda: _class_check(discriminant(rubik_f()), discriminant(revenge_g())))
 
-    def linkage_fg():
-        rep = parity_linkage(rubik_f(), revenge_g(), opts.linkage_budget,
-                             jobs=opts.jobs)
-        return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
     _run(checks, "revenge.parity_linkage_fg",
          "equal discriminant classes force equal Frobenius parities",
-         "0 violations", linkage_fg)
+         "0 violations",
+         lambda: _violations(parity_linkage(rubik_f(), revenge_g(), opts.linkage_budget,
+                                            jobs=opts.jobs)))
 
-    def n4_arith():
-        return r4_predicted_order() == R4_ORDER, str(r4_predicted_order())
-    _run(checks, "revenge.fiber_order_n4",
-         "order of the Revenge Cube group, exact digits",
-         str(R4_ORDER), n4_arith)
+    _run_order(checks, "revenge.fiber_order_n4", "Revenge Cube", r4_predicted_order, R4_ORDER)
 
     _run_certify(checks, "revenge.certify_h_symmetric",
                  "X^24 - X - 1 must have the full symmetric Galois group",
@@ -450,41 +441,30 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
          "coefficient 2^72 3^24 7c / 23^22 of the third trinomial factor",
          "derived u3 equals the stated value", u3_coeff)
 
-    def h1_derived():
-        ok = square_class_equal(trinomial_disc(params.u1), TARGET_CLASS)
-        return ok, f"square_class_equal = {ok}"
     _run(checks, "professor.h1_derived_class_7c",
          "disc of the derived first factor must land in the class 7c",
-         "class equals 7c", h1_derived)
+         "class equals 7c", lambda: _class_check(trinomial_disc(params.u1), TARGET_CLASS))
 
     def h1_literal():
         u_lit = -professor_h1_stated_coefficient()
-        ok = square_class_equal(trinomial_disc(u_lit), TARGET_CLASS)
-        detail = "satisfies the target class" if ok else \
-            "does NOT satisfy the target class (differs from the derived " \
-            "coefficient by a factor of 24)"
-        return ok, detail
-    literal = _run(checks, "professor.h1_literal_class_7c",
-                   "dual check: the stated first-factor coefficient, reported as-is",
-                   "reported as-is, not auto-corrected", h1_literal)
-    if literal.status == "fail":
+        if square_class_equal(trinomial_disc(u_lit), TARGET_CLASS):
+            return True, "satisfies the target class"
         # the dual-check policy reports the stated value without failing
         # the suite; the derived variant above is the operative check
-        literal.status = "inconclusive"
+        return None, ("does NOT satisfy the target class (differs from the "
+                      "derived coefficient by a factor of 24)")
+    _run(checks, "professor.h1_literal_class_7c",
+         "dual check: the stated first-factor coefficient, reported as-is",
+         "reported as-is, not auto-corrected", h1_literal)
 
-    def disch23():
-        product = trinomial_disc(params.u2) * trinomial_disc(params.u3)
-        ok = square_class_equal(product, TARGET_CLASS)
-        return ok, f"square_class_equal = {ok}"
     _run(checks, "professor.disc_h2_h3_class_7c",
          "disc h2 * disc h3 must land in the class 7c",
-         "class equals 7c", disch23)
+         "class equals 7c",
+         lambda: _class_check(trinomial_disc(params.u2) * trinomial_disc(params.u3),
+                              TARGET_CLASS))
 
-    def n5_arith():
-        return r5_predicted_order() == R5_ORDER, str(r5_predicted_order())
-    _run(checks, "professor.fiber_order_n5",
-         "order of the Professor's Cube group, exact digits",
-         str(R5_ORDER), n5_arith)
+    _run_order(checks, "professor.fiber_order_n5", "Professor's Cube", r5_predicted_order,
+               R5_ORDER)
 
     h1d, h2, h3 = trinomial_poly(params.u1), professor_h2(), professor_h3()
     for name, poly in (("h1_derived", h1d), ("h2", h2), ("h3", h3)):
@@ -492,19 +472,16 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
                      "every degree-24 trinomial factor must be full symmetric",
                      poly, opts)
 
-    def linkage():
-        rep = parity_linkage(f, h1d, opts.linkage_budget, jobs=opts.jobs)
-        return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
     _run(checks, "professor.parity_linkage_f_h1",
          "f and the derived first factor share the class 7c, forcing linked parities",
-         "0 violations", linkage)
+         "0 violations",
+         lambda: _violations(parity_linkage(f, h1d, opts.linkage_budget, jobs=opts.jobs)))
 
-    def triple():
-        rep = triple_parity_linkage(f, h2, h3, opts.triple_budget, jobs=opts.jobs)
-        return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
     _run(checks, "professor.triple_parity_linkage_f_h2_h3",
          "parity of f must equal the parity product of the h2, h3 factors",
-         "0 violations", triple)
+         "0 violations",
+         lambda: _violations(triple_parity_linkage(f, h2, h3, opts.triple_budget,
+                                                   jobs=opts.jobs)))
     return checks
 
 

@@ -32,6 +32,36 @@ def test_order_a5():
     assert g.order() == 60
 
 
+def test_orbit_extension_by_a_new_generator_matches_a_full_walk():
+    # _add_strong applies only the new generator in the first round, since
+    # the orbit is closed under the old ones; the transversals must come
+    # out exactly as a walk under every generator would give them
+    from cubegal.bsgs import _Level
+    rng = random.Random(3)
+    group = PermutationGroup(s_n_generators(4))
+    for _ in range(60):
+        n = rng.randrange(3, 13)
+        support = rng.sample(range(n), rng.randrange(2, n + 1))
+        old = [_random_on(rng, n, support) for _ in range(rng.randrange(0, 3))]
+        new = _random_on(rng, n, range(n))
+        walked = [_Level(support[0], old), _Level(support[0], old)]
+        for lvl in walked:
+            group._extend_orbit(lvl)
+            lvl.gens.append(new)
+        assert group._extend_orbit(walked[0], new) == group._extend_orbit(walked[1])
+        assert list(walked[0].trans.items()) == list(walked[1].trans.items())
+        assert list(walked[0].invtrans.items()) == list(walked[1].invtrans.items())
+
+
+def _random_on(rng, n, support):
+    """A padded image table moving only points of support at random."""
+    points = list(support)
+    img = list(range(n))
+    for a, b in zip(points, rng.sample(points, len(points))):
+        img[a] = b
+    return Permutation([x + 1 for x in img])._img
+
+
 def test_order_equals_product_of_basic_orbits():
     g = PermutationGroup(s_n_generators(8))
     prod = 1

@@ -193,6 +193,11 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
     (["order", "--cube", "3", "--out", "{poly}/x"], None),
     (["disc", "--poly", "{poly}", "--out", "{poly}/x"],
      '{"degree": 1, "coefficients": ["1", "1"]}'),
+    # zero has no square class: a zero INT, or a zero discriminant
+    (["disc", "--poly", "{poly}", "--square-class-vs", "0"],
+     '{"degree": 1, "coefficients": ["1", "1"]}'),
+    (["disc", "--poly", "{poly}", "--square-class-vs", "5"],
+     '{"degree": 2, "coefficients": ["1", "2", "1"]}'),
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     path = tmp_path / "poly.json"

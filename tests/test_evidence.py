@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 
@@ -8,6 +10,7 @@ from cubegal.evidence import (LinkageReport, certify_symmetric, parity_linkage,
                               predict_wreath_types, scan, triple_parity_linkage,
                               types_within)
 from cubegal.perm import CycleType
+from cubegal.polymod import primes
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.structure import enumerate_restricted
 from cubegal.theorems import (revenge_h, rubik_f, rubik_g, rubik_g_resolvent)
@@ -98,7 +101,6 @@ def test_square_disc_forces_even_parities():
 def test_certify_symmetric_for_h():
     cert = certify_symmetric(revenge_h(), 2000)
     assert cert is not None
-    assert cert.valid
     assert cert.revalidate(revenge_h())
 
 
@@ -141,6 +143,11 @@ def test_certify_revalidation_rejects_tampering():
     from dataclasses import replace
     tampered = replace(cert, transitive_prime=cert.primitive_prime)
     assert not tampered.revalidate(h)
+    # explicit Jordan witnesses must meet the search's own conditions: at
+    # p = 31 the type is 23.1, but 23 > n - 3; at p = 5 it is 9.8.7, and 9
+    # is not prime
+    assert not replace(cert, jordan_prime=31, jordan_cycle=23).revalidate(h)
+    assert not replace(cert, jordan_prime=5, jordan_cycle=9).revalidate(h)
 
 
 def test_parity_linkage_reflexive():
@@ -276,3 +283,103 @@ def test_jobs_below_one_rejected(jobs):
         parity_linkage(cubic, other, 10, jobs=jobs)
     with pytest.raises(ValueError):
         triple_parity_linkage(cubic, other, other, 10, jobs=jobs)
+
+
+# -- the stop rule: budget good primes, or 10x the budget examined ------------
+
+
+# X^8 - X - 1/D with D the product of the first 20 primes: every one of
+# them divides a denominator, so each is bad; disc is nonzero, nonsquare
+_BAD_SMALL_PRIMES_OCTIC = PolyQ.from_coeffs([Fraction(-1, prod(islice(primes(), 20))), -1,
+                                             0, 0, 0, 0, 0, 0, 1])
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The primes the evidence layer draws, counted as they are drawn."""
+    from cubegal import evidence
+    out: list[int] = []
+    stream = evidence.primes
+
+    def counted(*args, **kwargs):
+        for p in stream(*args, **kwargs):
+            out.append(p)
+            yield p
+    monkeypatch.setattr(evidence, "primes", counted)
+    return out
+
+
+def _good_for_all(polys, p):
+    from cubegal.polymod import frobenius_type
+    return all(frobenius_type(f, p) is not None for f in polys)
+
+
+def test_scan_draws_exactly_the_primes_it_examines(drawn):
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
+    profile = scan(cubic, 30)
+    assert drawn == sorted([*profile.types_by_prime, *profile.bad_primes])
+    assert drawn[-1] in profile.types_by_prime
+
+
+@pytest.mark.parametrize("budget", [1, 25])
+def test_linkages_draw_exactly_the_primes_they_examine(drawn, budget):
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
+    other = PolyQ.from_coeffs([-1, -1, 0, 1])
+    third = PolyQ.from_coeffs([-2, 0, 0, 1])
+    for polys, check in (((cubic, other), parity_linkage),
+                         ((cubic, other, third), triple_parity_linkage)):
+        drawn.clear()
+        report = check(*polys, budget)
+        assert report.primes_checked == budget
+        assert sum(_good_for_all(polys, p) for p in drawn) == budget
+        assert _good_for_all(polys, drawn[-1])  # nothing drawn past the last one
+
+
+def test_stream_gives_up_after_ten_times_the_budget(drawn):
+    from cubegal.evidence import _SEARCH_FACTOR
+    with pytest.raises(ValueError, match="only 0 good primes"):
+        scan(PolyQ.from_coeffs([1, 2, 1]), 10)
+    assert len(drawn) == _SEARCH_FACTOR * 10
+    drawn.clear()
+    report = parity_linkage(rubik_f(), _BAD_SMALL_PRIMES_OCTIC, 2)
+    assert report.primes_checked == 0 and len(drawn) == _SEARCH_FACTOR * 2
+
+
+def test_certify_draws_at_most_ten_times_the_budget(drawn):
+    from cubegal.evidence import _SEARCH_FACTOR
+    f = _BAD_SMALL_PRIMES_OCTIC
+    assert discriminant(f) != 0
+    assert certify_symmetric(f, 2) is None
+    assert len(drawn) == _SEARCH_FACTOR * 2  # the first 20 primes, all bad
+    drawn.clear()
+    cert = certify_symmetric(revenge_h(), 2000)
+    witnesses = (cert.transitive_prime, cert.primitive_prime, cert.jordan_prime)
+    assert drawn[-1] == max(witnesses)  # stops at the last witness
+
+
+def _evidence_at_the_edges(jobs):
+    """Budgets that end inside a 64-prime batch, and searches that hit the
+    10x limit, through every consumer of the stream."""
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
+    other = PolyQ.from_coeffs([-1, -1, 0, 1])
+    third = PolyQ.from_coeffs([-2, 0, 0, 1])
+    out = [
+        scan(cubic, 100, jobs=jobs),
+        parity_linkage(cubic, other, 70, jobs=jobs),
+        triple_parity_linkage(cubic, other, third, 90, jobs=jobs),
+        certify_symmetric(_BAD_SMALL_PRIMES_OCTIC, 2, jobs=jobs),
+        parity_linkage(cubic, _BAD_SMALL_PRIMES_OCTIC, 2, jobs=jobs),
+    ]
+    try:
+        scan(PolyQ.from_coeffs([1, 2, 1]), 10, jobs=jobs)
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_stop_rule_same_at_jobs_1_and_2(cold_cache):
+    serial = _evidence_at_the_edges(1)
+    assert serial[-1] == "only 0 good primes within 10x budget"
+    assert serial[3] is None and serial[4].primes_checked == 0
+    cold_cache.clear()
+    assert _evidence_at_the_edges(2) == serial
