@@ -16,10 +16,10 @@ from .cubes import (ConfigTuple, StickerModel, cube_model, decode_config,
                     encode_config, induced_cubie_perm, orientation_sum,
                     r3_model, r4_model, r5_model, resolve_sign_assignment,
                     sign_vector, superflip_permutation, validity_check)
-from .structure import (FiberSpec, WreathElement, abelianization_order,
-                        enumerate_restricted, fiber_order, r3_predicted_order,
-                        r4_predicted_order, r5_predicted_order,
-                        restricted_wreath_order, superflip_abstract)
+from .structure import (WreathElement, abelianization_order, enumerate_restricted,
+                        fiber_order, r3_predicted_order, r4_predicted_order,
+                        r5_predicted_order, restricted_wreath_order,
+                        superflip_abstract)
 from .theorems import (CheckReport, SuiteOptions, TheoremParameters,
                        derive_parameters, verify_theorem)
 

@@ -43,15 +43,14 @@ class ProductReplacementSampler:
     reproducibility over theoretical mixing guarantees.
     """
 
-    def __init__(self, generators, seed: int,
-                 slots: int = _PR_SLOTS, burnin: int = _PR_BURNIN):
+    def __init__(self, generators, seed: int):
         gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
         self._degree = gens[0].degree
-        self._slots = [gens[i % len(gens)]._img for i in range(slots)]
+        self._slots = [gens[i % len(gens)]._img for i in range(_PR_SLOTS)]
         self._rng = random.Random(seed)
-        for _ in range(burnin):
+        for _ in range(_PR_BURNIN):
             self._step()
 
     def _step(self) -> bytes:

@@ -177,6 +177,10 @@ def _cmd_disc(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     f = _load_poly(args.poly)
+    if args.certify in ("wreath-3-8", "wreath-2-12") and f.degree != 24:
+        # both predicted type sets live on 24 points
+        raise _UsageError(f"--certify {args.certify} needs a polynomial of degree 24, "
+                          f"not {f.degree}")
     try:
         return _frobenius_report(args, f)
     except ValueError as exc:  # a polynomial the evidence layer cannot serve

@@ -12,7 +12,13 @@ exact group orders.
 
 The 4x4x4 model is the restriction of the same tables to labels <= 96;
 the 3x3x3 model is the restriction of the six outer turns to the corner
-and central-edge stickers, relabeled 1..48.
+and central-edge stickers, relabeled 1..48.  `cube_model` builds each
+model once per process.
+
+One decoder, `piece_coordinates`, reads how a sticker permutation moves
+and turns the pieces of a class; induced piece permutations, sign
+vectors, orientation sums and configuration tuples are all read off it,
+and `encode_config` places pieces back by the same convention.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from importlib import resources
 
 from .bsgs import PermutationGroup
@@ -83,11 +90,8 @@ CLASS_ORDER = {
     3: ("corners", "central_edges"),
 }
 
-_CLASS_SIZES = {
-    5: {"corners": 24, "central_edges": 24, "wings": 48, "plus_centers": 24, "x_centers": 24},
-    4: {"corners": 24, "wings": 48, "x_centers": 24},
-    3: {"corners": 24, "central_edges": 24},
-}
+_CLASS_SIZES = {"corners": 24, "central_edges": 24, "wings": 48,
+                "plus_centers": 24, "x_centers": 24}
 
 _BLOCK_SIZES = {"corners": 3, "central_edges": 2, "wings": 2,
                 "plus_centers": 1, "x_centers": 1}
@@ -153,18 +157,35 @@ class StickerModel:
                 list(self.generators.values()), seed=seed)
         return self._group_cache[seed]
 
-    def block_index(self, class_name: str) -> dict[int, int]:
-        """sticker -> 0-based position of its block in blocks[class_name]."""
-        out: dict[int, int] = {}
-        for i, block in enumerate(self.blocks[class_name]):
-            for s in block:
-                out[s] = i
-        return out
+    @cached_property
+    def _sign_assignment(self) -> dict:
+        """resolve_sign_assignment's report, computed on first use."""
+        order = self.class_order
+        vectors = [sign_vector(self, g) for g in self.generators.values()]
+        idx = {name: order.index(name) for name in order}
+        candidates = []
+        free = [n for n in order if n not in ("corners", "central_edges")]
+        for tau_class in free:
+            rest = [n for n in free if n != tau_class]
+            ok = all(
+                v[idx["corners"]] == v[idx["central_edges"]] == v[idx[tau_class]]
+                and v[idx[tau_class]] == v[idx[rest[0]]] * v[idx[rest[1]]]
+                for v in vectors
+            )
+            if ok:
+                candidates.append(tau_class)
+        resolved = None
+        if len(candidates) == 1:
+            rest = [n for n in free if n != candidates[0]]
+            # rho_c/rho_e are interchangeable in the conditions; fix the
+            # center-like class as rho_c for definiteness
+            rest.sort(key=lambda n: (n != "plus_centers", n))
+            resolved = {"tau": candidates[0], "rho_c": rest[0], "rho_e": rest[1]}
+        return {"candidates": candidates, "resolved": resolved}
 
 
 def _build_r5() -> StickerModel:
-    digest = tables_digest()
-    if digest != TABLES_SHA256:
+    if tables_digest() != TABLES_SHA256:
         raise RuntimeError("generator tables failed their integrity check")
     gens = {name: parse_cycles(text, 144) for name, text in GENERATOR_TABLES.items()}
     net = load_net()
@@ -192,7 +213,7 @@ def _build_r5() -> StickerModel:
     classes: dict[str, set[int]] = {name: set() for name in CLASS_ORDER[5]}
     for label, (_, r, c) in position.items():
         classes[_grid_class(r, c)].add(label)
-    for name, expected in _CLASS_SIZES[5].items():
+    for name, expected in _CLASS_SIZES.items():
         if len(classes[name]) != expected:
             raise ValueError(f"class {name} has size {len(classes[name])}, "
                              f"expected {expected}")
@@ -200,7 +221,8 @@ def _build_r5() -> StickerModel:
     # classes must be unions of generator orbits (the group never mixes
     # piece types; wings split into two chiral orbits inside one class)
     gen_list = list(gens.values())
-    for orbit in orbits(gen_list, 144):
+    gen_orbits = orbits(gen_list, 144)
+    for orbit in gen_orbits:
         owners = {name for name, pts in classes.items() if orbit & pts}
         if len(owners) != 1:
             raise ValueError("a generator orbit crosses piece classes")
@@ -252,7 +274,7 @@ def _build_r5() -> StickerModel:
         edge_blocks.append((ref, other))
     blocks["central_edges"] = tuple(sorted(edge_blocks, key=min))
 
-    wing_orbits = [o for o in orbits(gen_list, 144) if o <= classes["wings"]]
+    wing_orbits = [o for o in gen_orbits if o <= classes["wings"]]
     if len(wing_orbits) != 2:
         raise ValueError("expected exactly two chiral wing orbits")
     side_a = min(wing_orbits, key=min)
@@ -347,7 +369,8 @@ def _filter_cycles_text(text: str, limit: int) -> str:
     return "".join(out)
 
 
-def _build_r4(r5: StickerModel) -> StickerModel:
+def _build_r4() -> StickerModel:
+    r5 = cube_model(5)
     keep = list(range(1, 97))
     gens: dict[str, Permutation] = {}
     source: dict[str, str] = {}
@@ -368,53 +391,39 @@ def _build_r4(r5: StickerModel) -> StickerModel:
     )
 
 
-def _build_r3(r5: StickerModel) -> StickerModel:
+def _build_r3() -> StickerModel:
+    r5 = cube_model(5)
     keep = sorted(r5.classes["corners"] | r5.classes["central_edges"])
     relabel = {label: i + 1 for i, label in enumerate(keep)}
     gens = {name[0]: _restrict(r5.generators[name], keep) for name in OUTER_MOVES}
-
-    def translate(block):
-        return tuple(relabel[s] for s in block)
-
-    classes = {
-        "corners": frozenset(relabel[s] for s in r5.classes["corners"]),
-        "central_edges": frozenset(relabel[s] for s in r5.classes["central_edges"]),
-    }
-    blocks = {
-        "corners": tuple(sorted((translate(b) for b in r5.blocks["corners"]), key=min)),
-        "central_edges": tuple(sorted((translate(b) for b in r5.blocks["central_edges"]),
-                                      key=min)),
-    }
+    classes, blocks = {}, {}
+    for name in CLASS_ORDER[3]:
+        classes[name] = frozenset(relabel[s] for s in r5.classes[name])
+        blocks[name] = tuple(sorted((tuple(relabel[s] for s in b) for b in r5.blocks[name]),
+                                    key=min))
     return StickerModel(size=3, degree=48, generators=gens,
                         classes=classes, blocks=blocks, source_text=None)
 
 
-_MODEL_CACHE: dict[int, StickerModel] = {}
-
-
-def r5_model() -> StickerModel:
-    if 5 not in _MODEL_CACHE:
-        _MODEL_CACHE[5] = _build_r5()
-    return _MODEL_CACHE[5]
-
-
-def r4_model() -> StickerModel:
-    if 4 not in _MODEL_CACHE:
-        _MODEL_CACHE[4] = _build_r4(r5_model())
-    return _MODEL_CACHE[4]
+@cache
+def cube_model(size: int) -> StickerModel:
+    """The sticker model of the size x size x size cube, built once per process."""
+    builders = {3: _build_r3, 4: _build_r4, 5: _build_r5}
+    if size not in builders:
+        raise ValueError("cube size must be 3, 4 or 5")
+    return builders[size]()
 
 
 def r3_model() -> StickerModel:
-    if 3 not in _MODEL_CACHE:
-        _MODEL_CACHE[3] = _build_r3(r5_model())
-    return _MODEL_CACHE[3]
+    return cube_model(3)
 
 
-def cube_model(size: int) -> StickerModel:
-    try:
-        return {3: r3_model, 4: r4_model, 5: r5_model}[size]()
-    except KeyError:
-        raise ValueError("cube size must be 3, 4 or 5") from None
+def r4_model() -> StickerModel:
+    return cube_model(4)
+
+
+def r5_model() -> StickerModel:
+    return cube_model(5)
 
 
 # -- induced piece permutations and orientation coordinates -------------------
@@ -422,28 +431,21 @@ def cube_model(size: int) -> StickerModel:
 
 def induced_cubie_perm(model: StickerModel, p: Permutation, class_name: str) -> Permutation:
     """Permutation induced on the physical pieces of one class."""
-    blocks = model.blocks[class_name]
-    index = model.block_index(class_name)
-    images = []
-    for block in blocks:
-        targets = {index.get(p(s)) for s in block}
-        if len(targets) != 1 or None in targets:
-            raise ValueError("permutation does not map blocks to blocks")
-        images.append(targets.pop() + 1)
-    return Permutation(images)
+    return piece_coordinates(model, p, class_name)[0]
 
 
 def piece_coordinates(model: StickerModel, p: Permutation, class_name: str):
     """(induced block permutation, orientation offsets indexed by target
-    position) for an orientable class (block size > 1).
+    position) for one piece class.
 
     offsets[j] is the rotation of the piece now sitting at position j+1,
-    measured against the stored marking order; the image of a block's
-    marking tuple must be a rotation of the target's, else the sticker
-    permutation breaks the piece structure and a ValueError is raised.
+    measured against the stored marking order (always 0 for centers); the
+    image of a block's marking tuple must be a rotation of the target's,
+    else the sticker permutation breaks the piece structure (it splits a
+    piece or reflects one) and a ValueError is raised.
     """
     blocks = model.blocks[class_name]
-    index = model.block_index(class_name)
+    index = {s: i for i, block in enumerate(blocks) for s in block}
     size = len(blocks[0])
     images = [0] * len(blocks)
     offsets = [0] * len(blocks)
@@ -527,52 +529,29 @@ def resolve_sign_assignment(model: StickerModel) -> dict:
     The statement never names the physical classes, so the assignment is
     computed, not presumed: tau must carry the same sign character as
     the corner and central-edge position permutations, and the remaining
-    two classes must multiply to it.
+    two classes must multiply to it.  Computed once per model.
     """
     if model.size != 5:
         raise ValueError("sign assignment applies to the 5x5x5 model")
-    cached = model._group_cache.get("sign_assignment")
-    if cached is not None:
-        return cached
-    order = model.class_order
-    vectors = [sign_vector(model, g) for g in model.generators.values()]
-    idx = {name: order.index(name) for name in order}
-    candidates = []
-    free = [n for n in order if n not in ("corners", "central_edges")]
-    for tau_class in free:
-        rest = [n for n in free if n != tau_class]
-        ok = all(
-            v[idx["corners"]] == v[idx["central_edges"]] == v[idx[tau_class]]
-            and v[idx[tau_class]] == v[idx[rest[0]]] * v[idx[rest[1]]]
-            for v in vectors
-        )
-        if ok:
-            candidates.append(tau_class)
-    resolved = None
-    if len(candidates) == 1:
-        rest = [n for n in free if n != candidates[0]]
-        # rho_c/rho_e are interchangeable in the conditions; fix the
-        # center-like class as rho_c for definiteness
-        rest.sort(key=lambda n: (n != "plus_centers", n))
-        resolved = {"tau": candidates[0], "rho_c": rest[0], "rho_e": rest[1]}
-    report = {"candidates": candidates, "resolved": resolved}
-    model._group_cache["sign_assignment"] = report
-    return report
+    return model._sign_assignment
+
+
+def _resolved_assignment(model: StickerModel) -> dict[str, str]:
+    """role -> class name for tau, rho_c and rho_e, or a ValueError."""
+    assignment = resolve_sign_assignment(model)["resolved"]
+    if assignment is None:
+        raise ValueError("no consistent class assignment")
+    return assignment
 
 
 def decode_config(model: StickerModel, p: Permutation) -> ConfigTuple:
     """Read the piece-level tuple off a sticker permutation (5x5x5)."""
-    assignment = resolve_sign_assignment(model)["resolved"]
-    if assignment is None:
-        raise ValueError("no consistent class assignment")
+    assignment = _resolved_assignment(model)
     sigma_c, x = piece_coordinates(model, p, "corners")
     sigma_e, y = piece_coordinates(model, p, "central_edges")
-    return ConfigTuple(
-        x=x, sigma_c=sigma_c, y=y, sigma_e=sigma_e,
-        tau=induced_cubie_perm(model, p, assignment["tau"]),
-        rho_c=induced_cubie_perm(model, p, assignment["rho_c"]),
-        rho_e=induced_cubie_perm(model, p, assignment["rho_e"]),
-    )
+    return ConfigTuple(x=x, sigma_c=sigma_c, y=y, sigma_e=sigma_e,
+                       **{role: induced_cubie_perm(model, p, name)
+                          for role, name in assignment.items()})
 
 
 def encode_config(model: StickerModel, cfg: ConfigTuple) -> Permutation:
@@ -582,12 +561,11 @@ def encode_config(model: StickerModel, cfg: ConfigTuple) -> Permutation:
     because pieces move whole and rotate freely at the sticker level -
     validity is a separate question answered by validity_check.
     """
-    assignment = resolve_sign_assignment(model)["resolved"]
-    if assignment is None:
-        raise ValueError("no consistent class assignment")
+    assignment = _resolved_assignment(model)
+    placements = [("corners", cfg.sigma_c, cfg.x), ("central_edges", cfg.sigma_e, cfg.y)]
+    placements += [(name, getattr(cfg, role), (0,) * 24) for role, name in assignment.items()]
     images = list(range(model.degree + 1))  # 1-based scratch table
-
-    def place_oriented(class_name, sigma, offsets):
+    for class_name, sigma, offsets in placements:
         blocks = model.blocks[class_name]
         size = len(blocks[0])
         for i, block in enumerate(blocks):
@@ -596,20 +574,6 @@ def encode_config(model: StickerModel, cfg: ConfigTuple) -> Permutation:
             k = offsets[j] % size
             for m in range(size):
                 images[block[m]] = target[(k + m) % size]
-
-    def place_plain(class_name, sigma):
-        blocks = model.blocks[class_name]
-        size = len(blocks[0])
-        for i, block in enumerate(blocks):
-            target = model.blocks[class_name][sigma(i + 1) - 1]
-            for m in range(size):
-                images[block[m]] = target[m]
-
-    place_oriented("corners", cfg.sigma_c, cfg.x)
-    place_oriented("central_edges", cfg.sigma_e, cfg.y)
-    place_plain(assignment["tau"], cfg.tau)
-    place_plain(assignment["rho_c"], cfg.rho_c)
-    place_plain(assignment["rho_e"], cfg.rho_e)
     return Permutation(images[1:])
 
 

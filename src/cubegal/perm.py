@@ -16,6 +16,10 @@ table of p o q, ``bytes.maketrans(p, IDENT256)`` is the table of p's
 inverse, and equality with ``IDENT256`` is the identity test.  The
 group engine (``bsgs``) works on these padded tables directly.
 ``Permutation.raw`` gives the exact-length table, ``bytes`` of length n.
+
+``Permutation.cycles`` is the one walk along a permutation's cycles:
+the cycle type, sign, order and canonical cycle string are all read off
+its output.  ``orbits`` and ``block_system`` share one union-find.
 """
 
 from __future__ import annotations
@@ -189,20 +193,10 @@ class Permutation:
         return out
 
     def cycle_type(self) -> CycleType:
-        img = self._img
-        seen = [False] * self._degree
-        parts = []
-        for start in range(self._degree):
-            if seen[start]:
-                continue
-            length = 0
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                length += 1
-                a = img[a]
-            parts.append(length)
-        return CycleType(tuple(parts))
+        """Cycle lengths of cycles(), plus a 1 for each fixed point."""
+        cycles = self.cycles()
+        fixed = self._degree - sum(map(len, cycles))
+        return CycleType(tuple(map(len, cycles)) + (1,) * fixed)
 
     def sign(self) -> int:
         """(-1)^(number of transpositions); equals the parity of the cycle type."""
@@ -248,12 +242,15 @@ def print_cycles(p: Permutation) -> str:
     """Canonical cycle string: cycles sorted by least element, each cycle
     starting at its least element, fixed points omitted.  Identity prints
     as the empty string."""
-    out = []
-    for cyc in p.cycles():
-        least = cyc.index(min(cyc))
-        rotated = cyc[least:] + cyc[:least]
-        out.append("(" + " ".join(str(a) for a in rotated) + ")")
-    return "".join(out)
+    return "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in p.cycles())
+
+
+def _find(parent, a):
+    """Root of a in the union-find forest `parent`, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 def orbits(gens, degree: int | None = None) -> list[frozenset[int]]:
@@ -267,21 +264,14 @@ def orbits(gens, degree: int | None = None) -> list[frozenset[int]]:
     if any(g.degree != degree for g in gens):
         raise ValueError("degree mismatch")
     parent = list(range(degree))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for g in gens:
         for i, x in enumerate(g.raw):
-            ra, rb = find(i), find(x)
+            ra, rb = _find(parent, i), _find(parent, x)
             if ra != rb:
                 parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for i in range(degree):
-        groups.setdefault(find(i), []).append(i + 1)
+        groups.setdefault(_find(parent, i), []).append(i + 1)
     return sorted((frozenset(v) for v in groups.values()), key=min)
 
 
@@ -302,17 +292,10 @@ def block_system(gens, points, seed_pair) -> list[frozenset[int]] | None:
         if any(g(a) not in pts for a in pts):
             raise ValueError("generators do not preserve the point set")
     parent = {a: a for a in pts}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     stack = [(a0, b0)]
     while stack:
         a, b = stack.pop()
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             continue
         parent[ra] = rb
@@ -320,7 +303,7 @@ def block_system(gens, points, seed_pair) -> list[frozenset[int]] | None:
             stack.append((g(a), g(b)))
     blocks: dict[int, list[int]] = {}
     for a in pts:
-        blocks.setdefault(find(a), []).append(a)
+        blocks.setdefault(_find(parent, a), []).append(a)
     if len(blocks) == 1:
         return None
     return sorted((frozenset(v) for v in blocks.values()), key=min)

@@ -1,6 +1,8 @@
 """Abstract models behind the cube groups: restricted wreath products,
 fiber products over sign characters, their order formulas, and the
-cross-checks tying them to the sticker groups.
+cross-checks tying them to the sticker groups.  Every fiber product of
+the paper is taken over two surjective sign characters, so a fiber
+order is half the product of the two orders; no other case is modelled.
 
 The abstract side is exercised through order formulas and small-case
 enumeration; the sticker groups carry the heavy verification, because
@@ -99,48 +101,10 @@ def restricted_wreath_order(n: int, m: int) -> int:
     return n ** (m - 1) * factorial(m)
 
 
-def fiber_order(order_left: int, order_right: int, *,
-                left_surjective: bool = True, right_surjective: bool = True) -> int:
-    """Order of a fiber product over two sign characters.
-
-    With both characters onto {+1,-1} the fiber has index 2 in the
-    direct product.  A non-surjective character changes the index (the
-    fiber is the full product or smaller); that case is reported as an
-    error rather than guessed at.
-    """
-    if not (left_surjective and right_surjective):
-        raise ValueError("characters are not both surjective; the fiber "
-                         "product is not index 2 and is not computed here")
+def fiber_order(order_left: int, order_right: int) -> int:
+    """Order of a fiber product over two sign characters that are both
+    onto {+1,-1}: index 2 in the direct product."""
     return order_left * order_right // 2
-
-
-@dataclass(frozen=True)
-class FiberSpec:
-    """A fiber product of two groups over sign characters, described by
-    the orders and the character values on the generators."""
-
-    left_order: int
-    right_order: int
-    left_char: tuple[int, ...]
-    right_char: tuple[int, ...]
-
-    def __post_init__(self):
-        for char in (self.left_char, self.right_char):
-            if any(v not in (1, -1) for v in char):
-                raise ValueError("character values must be +/-1")
-
-    @property
-    def left_surjective(self) -> bool:
-        return -1 in self.left_char
-
-    @property
-    def right_surjective(self) -> bool:
-        return -1 in self.right_char
-
-    def order(self) -> int:
-        return fiber_order(self.left_order, self.right_order,
-                           left_surjective=self.left_surjective,
-                           right_surjective=self.right_surjective)
 
 
 R3_ORDER = 43252003274489856000

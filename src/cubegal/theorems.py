@@ -264,8 +264,10 @@ def _class_check(a, b, label: str = "square_class_equal"):
 
 
 def _violations(rep: evidence.LinkageReport):
-    """(ok, text) for a parity-linkage report."""
-    return rep.ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
+    """(ok, text) for a parity-linkage report; a report over no prime
+    at all is inconclusive (ok None), not a pass."""
+    ok = rep.ok if rep.primes_checked else None
+    return ok, f"{len(rep.violations)} violations over {rep.primes_checked} primes"
 
 
 @dataclass
@@ -358,8 +360,8 @@ def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
 
     def linkage_literal():
         ok, text = _violations(parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs))
-        if ok:
-            return True, text
+        if ok is not False:
+            return ok, text
         return None, (f"{text}; the g-side parity is constantly +1 (disc g is "
                       "a square), so this pairing carries no linkage - see "
                       "the resolvent check above")

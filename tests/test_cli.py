@@ -9,6 +9,8 @@ import pytest
 
 from cubegal import evidence
 from cubegal.cli import build_parser, cli_main
+from cubegal.cubes import GENERATOR_TABLES, cube_model
+from cubegal.perm import parse_cycles, print_cycles
 from cubegal.polyq import PolyQ, discriminant, save_poly, trinomial_poly
 from cubegal.structure import R3_ORDER
 
@@ -56,6 +58,22 @@ def test_gens_cube3_prints_canonical_cycles(capsys):
     code, out = run_cli(capsys, "gens", "--cube", "3")
     assert code == 0
     assert out.count("=") == 6
+
+
+@pytest.mark.parametrize("cube", [3, 4, 5])
+def test_gens_lines_parse_back_to_the_generators(capsys, cube):
+    model = cube_model(cube)
+    _, text = run_cli(capsys, "gens", "--cube", str(cube), "--format", "cycles")
+    lines = dict(line.split(" = ") for line in text.splitlines())
+    _, payload = run_cli(capsys, "gens", "--cube", str(cube), "--format", "json")
+    assert {e["name"]: e["cycles"] for e in json.loads(payload)["generators"]} == lines
+    assert list(lines) == list(model.generators)
+    for name, g in model.generators.items():
+        assert parse_cycles(lines[name], model.degree) == g
+    if cube == 5:
+        assert lines == GENERATOR_TABLES
+    if cube == 3:
+        assert lines == {name: print_cycles(g) for name, g in model.generators.items()}
 
 
 def test_disc_subcommand(tmp_path, capsys):
@@ -198,6 +216,11 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
      '{"degree": 1, "coefficients": ["1", "1"]}'),
     (["disc", "--poly", "{poly}", "--square-class-vs", "5"],
      '{"degree": 2, "coefficients": ["1", "2", "1"]}'),
+    # the wreath type sets live on 24 points: X^3 + X + 1 is no input for them
+    (["frobenius", "--poly", "{poly}", "--primes", "20", "--certify", "wreath-3-8"],
+     '{"degree": 3, "coefficients": ["1", "1", "0", "1"]}'),
+    (["frobenius", "--poly", "{poly}", "--primes", "20", "--certify", "wreath-2-12"],
+     '{"degree": 3, "coefficients": ["1", "1", "0", "1"]}'),
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     path = tmp_path / "poly.json"

@@ -131,6 +131,11 @@ def test_induced_rejects_block_breaker():
     breaker = parse_cycles(f"({a} {b})", 144)
     with pytest.raises(ValueError):
         induced_cubie_perm(m5, breaker, "corners")
+    # a reflection of one corner's stickers keeps the block but no piece
+    # can be turned that way
+    assert (85, 1, 56) in m5.blocks["corners"]
+    with pytest.raises(ValueError):
+        induced_cubie_perm(m5, parse_cycles("(85 1)", 144), "corners")
 
 
 def test_sign_vectors_of_generators():

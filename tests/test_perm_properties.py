@@ -1,18 +1,19 @@
-"""Property tests of the permutation kernels against plain-loop oracles."""
+"""Property tests of the permutation kernels against plain-loop and
+sympy oracles."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cubegal.perm import Permutation
+from cubegal.perm import Permutation, orbits, parse_cycles, print_cycles
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
 
 
-def permutations_of_one_degree(count):
-    """`count` image lists (1-based) of one common degree 1..30."""
-    return st.integers(1, 30).flatmap(lambda n: st.tuples(
+def permutations_of_one_degree(count, max_degree=30):
+    """`count` image lists (1-based) of one common degree 1..max_degree."""
+    return st.integers(1, max_degree).flatmap(lambda n: st.tuples(
         *[st.permutations(range(1, n + 1)) for _ in range(count)]))
 
 
@@ -44,3 +45,45 @@ def test_inverse_undoes_the_permutation(images):
     assert p.inverse() == Permutation(plain)
     identity = Permutation.identity(len(a))
     assert p * p.inverse() == identity == p.inverse() * p
+
+
+@pytest.fixture(scope="module")
+def combinatorics():
+    """sympy's permutations, the oracle for the cycle walk and orbits;
+    imported once, outside the examples' deadline."""
+    return pytest.importorskip("sympy.combinatorics")
+
+
+@DETERMINISTIC
+@given(permutations_of_one_degree(1, max_degree=60))
+def test_cycle_type_order_and_sign_match_sympy(combinatorics, images):
+    (a,) = images
+    p = Permutation(a)
+    oracle = combinatorics.Permutation([x - 1 for x in a])
+    parts = sorted((length for length, count in oracle.cycle_structure.items()
+                    for _ in range(count)), reverse=True)
+    assert p.cycle_type().parts == tuple(parts)  # fixed points included
+    assert p.order() == oracle.order()
+    assert p.sign() == oracle.signature()
+
+
+@DETERMINISTIC
+@given(permutations_of_one_degree(1, max_degree=60))
+def test_print_cycles_is_canonical_and_round_trips(images):
+    (a,) = images
+    p = Permutation(a)
+    text = print_cycles(p)
+    cycles = [tuple(map(int, chunk.split())) for chunk in text[1:-1].split(")(")] if text else []
+    assert all(cyc[0] == min(cyc) and len(cyc) > 1 for cyc in cycles)
+    assert [cyc[0] for cyc in cycles] == sorted(cyc[0] for cyc in cycles)
+    assert parse_cycles(text, len(a)) == p
+
+
+@DETERMINISTIC
+@given(permutations_of_one_degree(3, max_degree=60))
+def test_orbits_match_sympy(combinatorics, images):
+    gens = [Permutation(a) for a in images]
+    oracle = combinatorics.PermutationGroup(
+        [combinatorics.Permutation([x - 1 for x in a]) for a in images])
+    expected = sorted((frozenset(x + 1 for x in orbit) for orbit in oracle.orbits()), key=min)
+    assert orbits(gens) == expected

@@ -6,13 +6,12 @@ import pytest
 from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import r3_model
 from cubegal.perm import Permutation, parse_cycles
-from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, FiberSpec,
-                               WreathElement, abelianization_order,
-                               commutes_with_all, enumerate_restricted,
-                               fiber_order, r3_abstract_generators,
-                               r3_predicted_order, r4_predicted_order,
-                               r5_predicted_order, restricted_wreath_order,
-                               superflip_abstract)
+from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, WreathElement,
+                               abelianization_order, commutes_with_all,
+                               enumerate_restricted, fiber_order,
+                               r3_abstract_generators, r3_predicted_order,
+                               r4_predicted_order, r5_predicted_order,
+                               restricted_wreath_order, superflip_abstract)
 
 
 def random_wreath(rng, n, m):
@@ -78,21 +77,6 @@ def test_fiber_order():
     assert fiber_order(2, 2) == 2  # S2 x_sign S2
     assert fiber_order(restricted_wreath_order(3, 8),
                        restricted_wreath_order(2, 12)) == R3_ORDER
-    with pytest.raises(ValueError):
-        fiber_order(4, 4, left_surjective=False)
-
-
-def test_fiber_spec():
-    spec = FiberSpec(left_order=6, right_order=2,
-                     left_char=(1, -1), right_char=(-1,))
-    assert spec.left_surjective and spec.right_surjective
-    assert spec.order() == 6
-    trivial = FiberSpec(left_order=3, right_order=2,
-                        left_char=(1, 1), right_char=(-1,))
-    with pytest.raises(ValueError):
-        trivial.order()
-    with pytest.raises(ValueError):
-        FiberSpec(left_order=2, right_order=2, left_char=(0,), right_char=(1,))
 
 
 def test_predicted_orders_match_frozen_digits():

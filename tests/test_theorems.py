@@ -1,8 +1,12 @@
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 
-from cubegal.polyq import discriminant, trinomial_disc, trinomial_poly
+from cubegal.evidence import parity_linkage
+from cubegal.polymod import primes
+from cubegal.polyq import PolyQ, discriminant, trinomial_disc, trinomial_poly
 from cubegal.sqclass import is_square, square_class_equal
 from cubegal.theorems import (C_COFACTOR, P2_CONST, Q_CONST, TARGET_CLASS,
                               Z_PARAM, SuiteOptions, derive_parameters,
@@ -11,6 +15,7 @@ from cubegal.theorems import (C_COFACTOR, P2_CONST, Q_CONST, TARGET_CLASS,
                               professor_h3, revenge_g, revenge_g_coefficient,
                               revenge_h, rubik_f, rubik_g, rubik_g_resolvent,
                               summarize, t_of, u1_of, verify_theorem)
+from cubegal.theorems import _run, _violations
 
 
 def test_constants():
@@ -139,3 +144,18 @@ def test_suites_are_idempotent():
     second = verify_theorem("rubik", small_opts())
     assert [(c.check_id, c.status, c.expected, c.actual) for c in first] == \
            [(c.check_id, c.status, c.expected, c.actual) for c in second]
+
+
+# the octic of test_evidence.py: X^8 - X - 1/D, D the product of the
+# first 20 primes, so each of them is bad
+_BAD_SMALL_PRIMES_OCTIC = PolyQ.from_coeffs([Fraction(-1, prod(islice(primes(), 20))), -1,
+                                             0, 0, 0, 0, 0, 0, 1])
+
+
+def test_linkage_over_no_prime_is_inconclusive():
+    # budget 2 allows 20 primes to be examined, all bad for the octic
+    checks = []
+    report = _run(checks, "x.linkage", "", "0 violations",
+                  lambda: _violations(parity_linkage(rubik_f(), _BAD_SMALL_PRIMES_OCTIC, 2)))
+    assert report.status == "inconclusive"
+    assert report.actual == "0 violations over 0 primes"
