@@ -5,7 +5,7 @@ checks, and Frobenius cycle-type evidence."""
 
 from .perm import CycleType, Permutation, block_system, orbits, parse_cycles, print_cycles
 from .bsgs import PermutationGroup, ProductReplacementSampler, normal_closure
-from .sqclass import factored_constant, integer_sqrt, is_square, square_class_equal
+from .sqclass import is_square, square_class_equal
 from .polyq import (PolyQ, discriminant, load_poly, resultant, save_poly,
                     trinomial_disc, trinomial_poly)
 from .polymod import PolyFp, ddf_cycle_type, frobenius_type, powmod, primes, reduce_mod_p

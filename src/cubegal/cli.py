@@ -23,14 +23,12 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal
-from fractions import Fraction
 
 from . import evidence, theorems
 from .cubes import cube_model
 from .evidence import certify_symmetric, predict_wreath_types, scan, types_within
 from .perm import print_cycles
-from .polyq import discriminant, load_poly
+from .polyq import discriminant, exact_str, load_poly
 from .sqclass import square_class_equal
 from .theorems import CheckReport, summarize
 
@@ -64,16 +62,6 @@ def _load_poly(path: str):
     if f.degree < 1:
         raise _UsageError(f"--poly {path}: polynomial must have degree at least 1")
     return f
-
-
-def _exact_str(value: Fraction) -> str:
-    """Exact decimal text of a rational of any length.
-
-    str(int) refuses more than sys.get_int_max_str_digits() digits; a
-    Decimal built from an int is exact and prints without that limit.
-    """
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def _write(args, payload: str) -> None:
@@ -155,7 +143,7 @@ def _cmd_disc(args) -> int:
     start = time.perf_counter()
     d = discriminant(f)
     ms = int((time.perf_counter() - start) * 1000)
-    d_str = _exact_str(d)
+    d_str = exact_str(d)
     checks = [CheckReport(
         check_id="disc.value", status="pass",
         expected="exact discriminant via fraction-free resultant",

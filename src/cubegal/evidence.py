@@ -47,7 +47,7 @@ from itertools import islice, product
 from math import prod
 
 from .perm import CycleType
-from .polymod import frobenius_type, primes
+from .polymod import frobenius_type, is_prime, primes
 from .polyq import PolyQ, discriminant
 from .sqclass import is_square
 
@@ -69,6 +69,8 @@ _TYPES: OrderedDict = OrderedDict()
 _TYPES_MAX = 1 << 20
 # primes per batch handed to a worker pool
 _POOL_CHUNK = 64
+# (poly, p) keys per task that pool.map sends to a worker
+_MAP_CHUNK = 8
 
 
 def _type_worker(key):
@@ -86,7 +88,9 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
     jobs == 1, one prime at a time, so no prime is drawn ahead of the
     consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
     the misses of each batch go to one worker pool, started at the first
-    miss and shut down when the stream ends or is closed.  (Executor.map
+    miss and shut down when the stream ends or is closed.  A batch has at
+    most _POOL_CHUNK * len(polys) / _MAP_CHUNK tasks, so the pool has no
+    more workers than that, whatever `jobs` asks.  (Executor.map
     would drain the endless prime stream up front, hence the batches.)  A
     caller that stops early closes the stream with contextlib.closing, so
     the pool never outlives it.
@@ -103,11 +107,12 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
             types = {key: _TYPES[key] for key in keys if key in _TYPES}
             misses = [key for key in keys if key not in types]
             if misses and jobs > 1 and pool is None:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+                workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             if pool is None:
                 computed = map(_type_worker, misses)
             else:
-                computed = pool.map(_type_worker, misses, chunksize=8)
+                computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
             for key, t in zip(misses, computed):
                 types[key] = _TYPES[key] = t
             while len(_TYPES) > _TYPES_MAX:
@@ -267,22 +272,15 @@ class SymmetricCertificate:
         return not is_square(discriminant(f))
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 def _jordan_witness(t: CycleType, n: int, q: int | None = None) -> int | None:
-    """A prime q <= n-3 occurring exactly once in t and dividing no other
-    part; powering the Frobenius by the lcm of the other parts then
+    """The least prime q <= n-3 occurring exactly once in t and dividing no
+    other part; powering the Frobenius by the lcm of the other parts then
     isolates a q-cycle.  Returns the witness q (or None).  A given q is
     checked, and must meet the same conditions as a searched one."""
-    candidates = [c for c in _SMALL_PRIMES if c <= n - 3]
-    if q is not None:
-        candidates = [q] if q in candidates else []
-    for cand in candidates:
-        occurrences = t.parts.count(cand)
-        if occurrences != 1:
-            continue
-        if all(part == cand or part % cand for part in t.parts):
+    parts = t.parts
+    for cand in sorted(set(parts)) if q is None else (q,):
+        if (cand <= n - 3 and parts.count(cand) == 1 and is_prime(cand)
+                and all(part == cand or part % cand for part in parts)):
             return cand
     return None
 

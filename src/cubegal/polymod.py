@@ -15,7 +15,8 @@ X^(n+k) mod f, each scaled by a small int and added.  Per prime, DDF
 computes X^p mod f once by square-and-multiply, then the rows X^(ip)
 mod f of the Frobenius (Berlekamp Q-) matrix, and gets every later
 X^(p^d) as a linear combination of those rows (von zur Gathen &
-Gerhard, "Modern Computer Algebra", 14.2).  The gcds run on plain lists.
+Gerhard, "Modern Computer Algebra", 14.2).  The gcds and exact divisions
+run on plain lists through one long-division loop, `_divmod`.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import mul
 
 from .perm import CycleType
@@ -62,18 +64,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes(start: int = 2):
-    """Consecutive primes from `start` upward, without end."""
-    n = max(2, start)
-    if n == 2:
-        yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
+def primes():
+    """Consecutive primes from 2 upward, without end."""
+    yield 2
+    yield from filter(is_prime, count(3, 2))
 
 
 @dataclass(frozen=True)
@@ -84,10 +78,7 @@ class PolyFp:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = [c % self.p for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_trim([c % self.p for c in self.coeffs])))
 
     @property
     def degree(self) -> int:
@@ -116,41 +107,39 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _rem(a: list[int], b: list[int], p: int) -> list[int]:
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q * b + r and deg r < deg b, for trimmed b whose
+    residues are below p; a may hold any ints."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     r = [c % p for c in a]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
-    for k in range(len(r) - 1 - db, -1, -1):
-        top = r[db + k] % p
-        if top:
-            factor = top * inv % p
-            for i in range(db + 1):
-                r[i + k] = (r[i + k] - factor * b[i]) % p
-    del r[db:]
-    return _trim(r)
-
-
-def _divexact(a: list[int], b: list[int], p: int) -> list[int]:
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    r = [c % p for c in a]
-    q = [0] * (len(a) - db)
+    q = [0] * (len(r) - db)
     for k in range(len(q) - 1, -1, -1):
-        top = r[db + k] % p
+        top = r[db + k]
         if top:
             factor = top * inv % p
             q[k] = factor
             for i in range(db + 1):
                 r[i + k] = (r[i + k] - factor * b[i]) % p
-    if _trim(r):
+    del r[db:]
+    return _trim(q), _trim(r)
+
+
+def _rem(a: list[int], b: list[int], p: int) -> list[int]:
+    return _divmod(a, b, p)[1]
+
+
+def _divexact(a: list[int], b: list[int], p: int) -> list[int]:
+    q, r = _divmod(a, b, p)
+    if r:
         raise ArithmeticError("division was not exact")
-    return _trim(q)
+    return q
 
 
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    """Monic gcd of a and b, both trimmed with residues below p."""
     while b:
         a, b = b, _rem(a, b, p)
     if a:
@@ -248,6 +237,13 @@ class _Residues:
 # -- public operations --------------------------------------------------------
 
 
+def _mod_p(c: Fraction, p: int) -> int | None:
+    """The residue of c mod p; None when p divides its denominator."""
+    if c.denominator % p == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 def reduce_mod_p(f: PolyQ, p: int):
     """Coefficientwise reduction with denominator inversion mod p.
 
@@ -259,12 +255,8 @@ def reduce_mod_p(f: PolyQ, p: int):
         raise ValueError(f"{p} is not prime")
     if f.is_zero:
         raise ValueError("zero polynomial")
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            return None
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
-    if out[-1] == 0:
+    out = [_mod_p(c, p) for c in f.coeffs]
+    if None in out or out[-1] == 0:
         return None
     return PolyFp(p, tuple(out))
 
@@ -366,11 +358,7 @@ def legendre(a: Fraction | int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a = Fraction(a)
-    num = a.numerator % p
-    den = a.denominator % p
-    if num == 0 or den == 0:
+    val = _mod_p(Fraction(a), p)
+    if not val:
         raise ValueError("argument is not a p-adic unit")
-    val = num * pow(den, -1, p) % p
-    sym = pow(val, (p - 1) // 2, p)
-    return 1 if sym == 1 else -1
+    return 1 if pow(val, (p - 1) // 2, p) == 1 else -1

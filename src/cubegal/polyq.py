@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -148,10 +149,7 @@ class PolyQ:
 
 
 def _content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g or 1
+    return math.gcd(*a) or 1
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -207,9 +205,7 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
 
 def _clear_denominators(f: PolyQ) -> tuple[list[int], int]:
     """(integer coefficient list, d) with f = (integer poly)/d."""
-    d = 1
-    for c in f.coeffs:
-        d = d * c.denominator // math.gcd(d, c.denominator)
+    d = math.lcm(*(c.denominator for c in f.coeffs))
     return [int(c * d) for c in f.coeffs], d
 
 
@@ -261,18 +257,22 @@ def trinomial_disc(u) -> Fraction:
     return -(Fraction(23) ** 23 * u + Fraction(24) ** 24) * u ** 23
 
 
-# -- polynomial file format -------------------------------------------------
+# -- exact text and the polynomial file format -------------------------------
+
+
+def exact_str(value: Fraction) -> str:
+    """"num" or "num/den" in exact decimal digits, of any length.
+
+    str(int) refuses more than sys.get_int_max_str_digits() digits; a
+    Decimal built from an int is exact and prints without that limit.
+    """
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 def poly_to_json(f: PolyQ) -> dict:
     """{"degree": n, "coefficients": [...]} with exact decimal strings."""
-    return {
-        "degree": f.degree,
-        "coefficients": [
-            str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in f.coeffs
-        ],
-    }
+    return {"degree": f.degree, "coefficients": [exact_str(c) for c in f.coeffs]}
 
 
 def poly_from_json(doc: dict) -> PolyQ:

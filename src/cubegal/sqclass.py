@@ -3,7 +3,8 @@
 Exact rationals are `fractions.Fraction` values (always stored reduced,
 with positive denominator) and big integers are plain `int`.  None of
 the checks here factor anything: they rely solely on exact integer
-square roots of products, so 25-digit prime-like cofactors cost nothing.
+square roots (`math.isqrt`) of products, so 25-digit prime-like cofactors
+cost nothing.
 """
 
 from __future__ import annotations
@@ -12,27 +13,12 @@ import math
 from fractions import Fraction
 
 
-def integer_sqrt(n: int) -> tuple[int, bool]:
-    """(floor(sqrt(n)), exact flag) for a nonnegative integer n.
-
-    Newton-style integer square root with an exact final verification.
-    """
-    if n < 0:
-        raise ValueError("negative input")
-    root = math.isqrt(n)
-    return root, root * root == n
-
-
 def is_square(a) -> bool:
     """True iff a = b^2 for some rational b."""
     a = Fraction(a)
     if a < 0:
         return False
-    _, num_exact = integer_sqrt(a.numerator)
-    if not num_exact:
-        return False
-    _, den_exact = integer_sqrt(a.denominator)
-    return den_exact
+    return all(math.isqrt(n) ** 2 == n for n in (a.numerator, a.denominator))
 
 
 def square_class_equal(a, b) -> bool:
@@ -46,16 +32,3 @@ def square_class_equal(a, b) -> bool:
     if a == 0 or b == 0:
         raise ValueError("zero has no square class")
     return is_square(a * b)
-
-
-def factored_constant(factors) -> int:
-    """Expand a list of (prime, exponent) pairs into the integer they
-    denote; the empty list gives 1."""
-    value = 1
-    for prime, exponent in factors:
-        if prime <= 0:
-            raise ValueError("primes must be positive")
-        if exponent < 0:
-            raise ValueError("exponents must be nonnegative")
-        value *= prime ** exponent
-    return value

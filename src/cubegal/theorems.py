@@ -15,6 +15,7 @@ emitted; nothing is silently corrected.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,8 @@ from . import evidence
 from .evidence import (certify_symmetric, parity_linkage, predict_wreath_types,
                        scan, triple_parity_linkage, types_within)
 from .perm import CycleType
-from .polyq import PolyQ, discriminant, trinomial_disc, trinomial_poly
-from .sqclass import factored_constant, is_square, square_class_equal
+from .polyq import PolyQ, discriminant, exact_str, trinomial_disc, trinomial_poly
+from .sqclass import is_square, square_class_equal
 from .structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
                         r4_predicted_order, r5_predicted_order)
 
@@ -38,7 +39,7 @@ TARGET_CLASS = 7 * C_COFACTOR  # 10061923336916391234966329
 
 # the composite constant appearing in the trinomial denominators
 Q_FACTORS = ((31, 1), (281, 1), (1201, 1), (70529, 1), (9801219477271, 1))
-Q_CONST = factored_constant(Q_FACTORS)
+Q_CONST = math.prod(p ** e for p, e in Q_FACTORS)
 
 Z_PARAM = 14464014796817312400264098
 P2_CONST = 195574568093355782014153
@@ -284,11 +285,6 @@ class SuiteOptions:
 # ---------------------------------------------------------------------------
 
 
-def _class_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-        else str(value.numerator)
-
-
 def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
     opts = opts or SuiteOptions()
     checks: list[CheckReport] = []
@@ -379,10 +375,10 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     def coeff():
         stated = revenge_g_coefficient()
         derived = -params.t
-        return derived == stated, _class_str(derived)
+        return derived == stated, exact_str(derived)
     _run(checks, "revenge.g_coefficient_reproduction",
          "the trinomial coefficient 2^67 3^24 / (23^23 * 31*281*1201*70529*9801219477271)",
-         _class_str(revenge_g_coefficient()), coeff)
+         exact_str(revenge_g_coefficient()), coeff)
 
     def disp():
         ok = trinomial_disc(params.t) == displayed_disc_g(1)
@@ -431,14 +427,14 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
 
     def u2_coeff():
         stated = Fraction(2 ** 75 * 3 ** 14 * Q_CONST, 7 ** 2 * 23 ** 22 * P2_CONST ** 2)
-        return params.u2 == stated, _class_str(params.u2)
+        return params.u2 == stated, exact_str(params.u2)
     _run(checks, "professor.u2_coefficient_reproduction",
          "coefficient 2^75 3^14 Q / (7^2 23^22 p2^2) of the second trinomial factor",
          "derived u2 equals the stated value", u2_coeff)
 
     def u3_coeff():
         stated = Fraction(2 ** 72 * 3 ** 24 * TARGET_CLASS, 23 ** 22)
-        return params.u3 == stated, _class_str(params.u3)
+        return params.u3 == stated, exact_str(params.u3)
     _run(checks, "professor.u3_coefficient_reproduction",
          "coefficient 2^72 3^24 7c / 23^22 of the third trinomial factor",
          "derived u3 equals the stated value", u3_coeff)

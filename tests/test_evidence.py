@@ -116,6 +116,14 @@ def test_certificate_witnesses_have_stated_types():
     assert all(part == q or part % q for part in t.parts)
 
 
+def test_jordan_witness_takes_primes_above_47():
+    from cubegal.evidence import _jordan_witness
+    t = CycleType((53,) + (1,) * 7)
+    assert _jordan_witness(t, 60) == 53
+    assert _jordan_witness(t, 60, q=53) == 53
+    assert _jordan_witness(t, 55) is None  # 53 > n - 3
+
+
 def test_certify_inconclusive_for_wreath_structured_poly():
     # no irreducible reduction exists, so the transitivity witness never
     # appears; keep the budget small to bound the search
@@ -246,6 +254,34 @@ def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
     # every call had misses: one pool each, all shut down before returning
     assert len(started) == 4
     assert stopped == started
+
+
+def test_pool_has_no_more_workers_than_a_batch_has_tasks(cold_cache, monkeypatch):
+    from cubegal import evidence
+    sizes = []
+
+    class Pool:
+        """Records its size and maps in this process, so no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, keys, chunksize):
+            return map(fn, keys)
+
+    monkeypatch.setattr(evidence, "ProcessPoolExecutor", Pool)
+    cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
+    for jobs in (10 ** 6, 2):
+        cold_cache.clear()
+        scan(cubic, 10, jobs=jobs)
+    # a 64-prime batch of one polynomial is 8 map tasks of 8 keys
+    assert sizes == [8, 2]
 
 
 def test_repeated_scan_is_served_from_cache(cold_cache, monkeypatch):

@@ -109,7 +109,6 @@ def test_is_prime():
 def test_prime_stream_deterministic():
     first = list(itertools.islice(primes(), 12))
     assert first == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-    assert list(itertools.islice(primes(10), 3)) == [11, 13, 17]
 
 
 def test_reduce_integer_coefficients():
@@ -212,7 +211,7 @@ def test_parity_law_against_legendre():
     f = trinomial_poly(Fraction(3, 7))
     d = discriminant(f)
     checked = 0
-    for p in primes(3):
+    for p in itertools.islice(primes(), 1, None):
         if checked >= 100:
             break
         t = frobenius_type(f, p)

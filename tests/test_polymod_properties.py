@@ -1,11 +1,16 @@
-"""Property tests of the packed F_p[X]/(f) kernel against schoolbook oracles."""
+"""Property tests of the packed F_p[X]/(f) kernel and of long division
+against schoolbook oracles."""
+
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from cubegal.polymod import PolyFp, _Residues, _rem, _trim, ddf_cycle_type, powmod
+from cubegal.polymod import (PolyFp, _divexact, _divmod, _Residues, _rem, _trim,
+                             ddf_cycle_type, legendre, powmod)
 from test_polymod import reference_ddf, reference_powmod, schoolbook_mul
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
@@ -23,6 +28,17 @@ def modulus_and_residues(draw, count, degrees=st.integers(1, 24)):
     residue = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
     f = draw(residue) + [draw(st.integers(1, p - 1))]
     return p, f, [draw(residue) for _ in range(count)]
+
+
+@st.composite
+def dividend_and_divisor(draw, min_degree=0):
+    """A prime p, a trimmed a over F_p and a trimmed nonzero b over F_p of
+    degree at least min_degree."""
+    p = draw(st.sampled_from([2, 3, 7, 4409, 2 ** 31 - 1]))
+    residues = st.integers(0, p - 1)
+    a = _trim(draw(st.lists(residues, max_size=30)))
+    b = draw(st.lists(residues, min_size=min_degree, max_size=12)) + [draw(st.integers(1, p - 1))]
+    return p, a, b
 
 
 def monic(f, p):
@@ -77,3 +93,38 @@ def test_degree_one_and_two_moduli(case, e):
     got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
     assert list(got.coeffs) == reference_powmod(_trim(list(a)), e, f, p)
     assert ddf_cycle_type(PolyFp(p, tuple(f))) == reference_ddf(PolyFp(p, tuple(f)))
+
+
+@DETERMINISTIC
+@given(dividend_and_divisor())
+def test_divmod_is_long_division(case):
+    p, a, b = case
+    q, r = _divmod(a, b, p)
+    assert len(r) < len(b)
+    qb = schoolbook_mul(q, b, p)
+    assert _trim([(x + y) % p for x, y in zip_longest(qb, r, fillvalue=0)]) == a
+
+
+@DETERMINISTIC
+@given(dividend_and_divisor())
+def test_divexact_undoes_a_product(case):
+    p, a, b = case
+    assert _divexact(schoolbook_mul(a, b, p), b, p) == a
+
+
+@DETERMINISTIC
+@given(dividend_and_divisor(min_degree=1))
+def test_divexact_refuses_a_remainder(case):
+    p, a, b = case
+    c = schoolbook_mul(a, b, p) or [0]
+    c[0] = (c[0] + 1) % p  # a * b + 1, and deg b >= 1
+    with pytest.raises(ArithmeticError):
+        _divexact(c, b, p)
+
+
+@DETERMINISTIC
+@given(st.sampled_from([3, 7, 4409, 2 ** 31 - 1]), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(1, 10 ** 6))
+def test_legendre_of_a_fraction(p, a, b):
+    assume(a * b % p)
+    assert legendre(Fraction(a, b), p) == legendre(a * b, p)

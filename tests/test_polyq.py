@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubegal.polyq import (PolyQ, discriminant, load_poly, poly_from_json,
-                           poly_to_json, resultant, save_poly, trinomial_disc,
-                           trinomial_poly)
+from cubegal.polyq import (PolyQ, discriminant, exact_str, load_poly,
+                           poly_from_json, poly_to_json, resultant, save_poly,
+                           trinomial_disc, trinomial_poly)
 from cubegal.theorems import rubik_f
 
 
@@ -194,6 +194,15 @@ def test_json_round_trip(tmp_path):
     # exact round trip through the serialized text as well
     reparsed = poly_from_json(json.loads(json.dumps(doc)))
     assert reparsed == f
+
+
+def test_exact_text_has_no_digit_cap():
+    # past str(int)'s default cap of 4,300 digits
+    digits = "1" + "0" * 4999 + "1"
+    assert exact_str(Fraction(10 ** 5000 + 1, 3)) == digits + "/3"
+    assert exact_str(Fraction(-(10 ** 5000 + 1), 3)) == "-" + digits + "/3"
+    doc = poly_to_json(PolyQ.from_coeffs([7 * 10 ** 4999, 1]))
+    assert doc["coefficients"] == ["7" + "0" * 4999, "1"]
 
 
 def test_json_degree_mismatch_rejected(tmp_path):

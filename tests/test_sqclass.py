@@ -3,20 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubegal.sqclass import factored_constant, integer_sqrt, is_square, square_class_equal
-
-
-def test_integer_sqrt_examples():
-    assert integer_sqrt(0) == (0, True)
-    assert integer_sqrt(24 ** 24) == (2 ** 36 * 3 ** 12, True)
-    root, exact = integer_sqrt(23 ** 23)
-    assert not exact
-    assert root * root <= 23 ** 23 < (root + 1) ** 2
-
-
-def test_integer_sqrt_negative():
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
+from cubegal.sqclass import is_square, square_class_equal
 
 
 def test_is_square_examples():
@@ -72,19 +59,3 @@ def test_is_square_iff_class_of_one():
         a = Fraction(rng.randrange(-60, 60) or 5, rng.randrange(1, 25))
         assert is_square(a) == (a > 0 and square_class_equal(a, 1)) if a != 0 else True
 
-
-def test_factored_constant():
-    assert factored_constant([]) == 1
-    assert factored_constant([(2, 5)]) == 32
-    q = factored_constant([(31, 1), (281, 1), (1201, 1), (70529, 1),
-                           (9801219477271, 1)])
-    # the composite constant satisfies 23 * 7c + 1 = 32 * Q
-    assert 23 * 7 * 1437417619559484462138047 + 1 == 32 * q
-    assert q == 7232007398408656200132049
-
-
-def test_factored_constant_validation():
-    with pytest.raises(ValueError):
-        factored_constant([(-2, 3)])
-    with pytest.raises(ValueError):
-        factored_constant([(2, -3)])
