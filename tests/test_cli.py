@@ -13,6 +13,7 @@ from cubegal.cubes import GENERATOR_TABLES, cube_model
 from cubegal.perm import parse_cycles, print_cycles
 from cubegal.polyq import PolyQ, discriminant, save_poly, trinomial_poly
 from cubegal.structure import R3_ORDER
+from cubegal.theorems import revenge_h, rubik_f
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +123,6 @@ def test_frobenius_certify(tmp_path, capsys):
 
 
 def test_frobenius_wreath_containment(tmp_path, capsys):
-    from cubegal.theorems import rubik_f
     path = tmp_path / "f.json"
     save_poly(rubik_f(), path)
     code, out = run_cli(capsys, "frobenius", "--poly", str(path),
@@ -262,3 +262,27 @@ def test_report_equals_the_recorded_one(capsys, name):
     for check in report["checks"]:
         del check["ms"]
     assert report == json.loads(_RECORDED.read_text(encoding="utf-8"))[name]
+
+
+# outputs of the commands the recorded reports above do not cover
+_GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_outputs.json")
+                     .read_text(encoding="utf-8"))["runs"]
+_GOLDEN_POLYS = {"revenge_h": revenge_h, "rubik_f": rubik_f,
+                 "X^8 - X - 1": lambda: PolyQ.from_coeffs([-1, -1, 0, 0, 0, 0, 0, 0, 1])}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN))
+def test_output_equals_the_golden_one(tmp_path, capsys, name):
+    run = _GOLDEN[name]
+    path = tmp_path / "poly.json"
+    if "poly" in run:
+        save_poly(_GOLDEN_POLYS[run["poly"]](), path)
+    code, out = run_cli(capsys, *(arg.replace("{poly}", str(path)) for arg in run["argv"]))
+    assert code == run["exit"]
+    if "stdout" in run:
+        assert out == run["stdout"]
+        return
+    report = json.loads(out)
+    for check in report["checks"]:
+        del check["ms"]
+    assert report == run["report"]
