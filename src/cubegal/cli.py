@@ -3,7 +3,7 @@
 Subcommands:
 
   order     --cube {3|4|5}                exact group order of a cube model
-  gens      --cube {3|4|5} --format {cycles|json}
+  gens      --cube {3|4|5}                generator cycles, one "name = cycles" line each
   disc      --poly FILE [--square-class-vs INT]
   frobenius --poly FILE --primes N [--certify {symmetric|wreath-3-8|wreath-2-12}]
   verify    --theorem {rubik|revenge|professor}
@@ -13,7 +13,8 @@ Exit status: 0 when no check failed, 1 on failures, 2 on usage errors.
 Inconclusive results are reported but never fail a run.
 
 JSON reports follow {"version": 1, "checks": [...], "summary": {...}}
-with all big numbers as decimal strings.
+with all big numbers as decimal strings; `gens --report json` prints
+{"version": 1, "degree": N, "generators": [{"name", "cycles"}, ...]} instead.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _cmd_gens(args) -> int:
         else:
             cycles = print_cycles(perm)
         entries.append((name, cycles))
-    if args.format == "json":
+    if args.report == "json":
         doc = {
             "version": 1,
             "degree": model.degree,
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gens", parents=[common], help="generator dump")
     p.add_argument("--cube", type=int, choices=(3, 4, 5), required=True)
-    p.add_argument("--format", choices=("cycles", "json"), default="cycles")
     p.set_defaults(fn=_cmd_gens)
 
     p = sub.add_parser("disc", parents=[common], help="exact discriminant")

@@ -414,18 +414,6 @@ def cube_model(size: int) -> StickerModel:
     return builders[size]()
 
 
-def r3_model() -> StickerModel:
-    return cube_model(3)
-
-
-def r4_model() -> StickerModel:
-    return cube_model(4)
-
-
-def r5_model() -> StickerModel:
-    return cube_model(5)
-
-
 # -- induced piece permutations and orientation coordinates -------------------
 
 

@@ -146,18 +146,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._wrap(bytes.maketrans(self._img, IDENT256), self._degree)
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self._degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Permutation) and self._img == other._img
                 and self._degree == other._degree)

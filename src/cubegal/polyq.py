@@ -31,7 +31,7 @@ from fractions import Fraction
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no coefficient
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -129,20 +129,6 @@ class PolyQ:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __call__(self, x) -> Fraction:
-        return self.eval(x)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            terms.append(f"{c}*X^{i}" if i else f"{c}")
-        return " + ".join(terms)
 
 
 # -- integer-level fraction-free machinery ---------------------------------

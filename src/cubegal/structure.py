@@ -77,9 +77,6 @@ class WreathElement:
                 images[(b - 1) * n + s] = (target - 1) * n + (s + twist) % n + 1
         return Permutation(images)
 
-    def order(self) -> int:
-        return self.to_permutation().order()
-
 
 def enumerate_restricted(n: int, m: int) -> list[WreathElement]:
     """All elements of (C_n wr S_m)^0; for brute-force cross-checks only."""

@@ -120,15 +120,10 @@ def professor_h3() -> PolyQ:
 class TheoremParameters:
     """The specialization data of the trinomial families, all exact."""
 
-    c: int
     target_class: int
     q_const: int
     z: int
     p2: int
-    r: int
-    s: int
-    v1: int
-    v3: int
     t: Fraction
     u1: Fraction
     w: Fraction
@@ -141,10 +136,6 @@ def t_of(s) -> Fraction:
     """Trinomial specialization: t(s) = -(24^24/23^23) / (23*7c*s^2 + 1)."""
     s = Fraction(s)
     return Fraction(-(24 ** 24), 23 ** 23) / (23 * TARGET_CLASS * s * s + 1)
-
-
-def u1_of(v1) -> Fraction:
-    return t_of(v1)
 
 
 def derive_parameters() -> TheoremParameters:
@@ -170,9 +161,8 @@ def derive_parameters() -> TheoremParameters:
     v3 = TARGET_CLASS
     scale = Fraction(24 ** 24, 23 ** 22)
     return TheoremParameters(
-        c=C_COFACTOR, target_class=TARGET_CLASS, q_const=Q_CONST,
-        z=Z_PARAM, p2=P2_CONST, r=r, s=1, v1=v1, v3=v3,
-        t=t_of(1), u1=u1_of(v1), w=w, v2=v2,
+        target_class=TARGET_CLASS, q_const=Q_CONST, z=Z_PARAM, p2=P2_CONST,
+        t=t_of(1), u1=t_of(v1), w=w, v2=v2,
         u2=v2 * scale, u3=v3 * scale,
     )
 

@@ -14,8 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from cubegal.cubes import (r3_model, r4_model, r5_model, orientation_sum,
-                           sign_vector, superflip_permutation)
+from cubegal.cubes import cube_model, orientation_sum, sign_vector, superflip_permutation
 from cubegal.evidence import (certify_symmetric, parity_linkage,
                               predict_wreath_types, scan, triple_parity_linkage,
                               types_within)
@@ -44,9 +43,9 @@ def _report(criterion, ok, detail, started):
 def test_criterion_1_group_orders_exact():
     started = time.perf_counter()
     orders = {
-        5: r5_model().group().order(),
-        4: r4_model().group().order(),
-        3: r3_model().group().order(),
+        5: cube_model(5).group().order(),
+        4: cube_model(4).group().order(),
+        3: cube_model(3).group().order(),
     }
     ok = (orders[5] == R5_ORDER and orders[4] == R4_ORDER and orders[3] == R3_ORDER)
     _report("criterion 1 (group orders)", ok,
@@ -216,7 +215,7 @@ def test_criterion_7_symmetric_certification():
 
 def test_criterion_8_cube_invariants():
     started = time.perf_counter()
-    m5 = r5_model()
+    m5 = cube_model(5)
     twist_ok = all(orientation_sum(m5, g, "corners") == 0
                    and orientation_sum(m5, g, "central_edges") == 0
                    for g in m5.generators.values())
@@ -232,7 +231,7 @@ def test_criterion_8_cube_invariants():
                     span.add(prod)
                     fresh.add(prod)
         frontier = fresh
-    m3 = r3_model()
+    m3 = cube_model(3)
     sf = superflip_permutation(m3)
     superflip_ok = (sf.order() == 2
                     and all(sf * g == g * sf for g in m3.generators.values())

@@ -39,13 +39,13 @@ def test_order_json_report(tmp_path, capsys):
 
 
 def test_gens_cycles_format(capsys):
-    code, out = run_cli(capsys, "gens", "--cube", "4", "--format", "cycles")
+    code, out = run_cli(capsys, "gens", "--cube", "4", "--report", "text")
     assert code == 0
     assert "r2 = (39 87 10 95)(27 75 22 83)(15 63 34 71)(3 51 46 59)" in out
 
 
 def test_gens_json_format(capsys):
-    code, out = run_cli(capsys, "gens", "--cube", "5", "--format", "json")
+    code, out = run_cli(capsys, "gens", "--cube", "5", "--report", "json")
     assert code == 0
     doc = json.loads(out)
     assert doc["degree"] == 144
@@ -64,9 +64,9 @@ def test_gens_cube3_prints_canonical_cycles(capsys):
 @pytest.mark.parametrize("cube", [3, 4, 5])
 def test_gens_lines_parse_back_to_the_generators(capsys, cube):
     model = cube_model(cube)
-    _, text = run_cli(capsys, "gens", "--cube", str(cube), "--format", "cycles")
+    _, text = run_cli(capsys, "gens", "--cube", str(cube), "--report", "text")
     lines = dict(line.split(" = ") for line in text.splitlines())
-    _, payload = run_cli(capsys, "gens", "--cube", str(cube), "--format", "json")
+    _, payload = run_cli(capsys, "gens", "--cube", str(cube), "--report", "json")
     assert {e["name"]: e["cycles"] for e in json.loads(payload)["generators"]} == lines
     assert list(lines) == list(model.generators)
     for name, g in model.generators.items():
@@ -221,6 +221,8 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
      '{"degree": 3, "coefficients": ["1", "1", "0", "1"]}'),
     (["frobenius", "--poly", "{poly}", "--primes", "20", "--certify", "wreath-2-12"],
      '{"degree": 3, "coefficients": ["1", "1", "0", "1"]}'),
+    # JSON booleans are not coefficients, though Python counts them as ints
+    (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": [true, true]}'),
 ])
 def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     path = tmp_path / "poly.json"

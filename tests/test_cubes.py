@@ -6,8 +6,7 @@ import pytest
 from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, ConfigTuple,
                            canonical_table_text, cube_model, decode_config,
                            encode_config, induced_cubie_perm, load_net,
-                           orientation_sum, r3_model, r4_model, r5_model,
-                           resolve_sign_assignment, sign_vector,
+                           orientation_sum, resolve_sign_assignment, sign_vector,
                            superflip_permutation, validity_check)
 from cubegal.perm import Permutation, orbits, parse_cycles
 
@@ -25,14 +24,14 @@ def test_net_is_versioned_and_complete():
 
 
 def test_generator_count_and_degree():
-    m5 = r5_model()
+    m5 = cube_model(5)
     assert len(m5.generators) == 12
     assert all(g.degree == 144 for g in m5.generators.values())
     assert m5.generators["r1"](40) == 88  # first entry of the first table
 
 
 def test_r5_classes_and_blocks():
-    m5 = r5_model()
+    m5 = cube_model(5)
     assert {k: len(v) for k, v in m5.classes.items()} == {
         "corners": 24, "central_edges": 24, "wings": 48,
         "plus_centers": 24, "x_centers": 24}
@@ -45,21 +44,21 @@ def test_r5_classes_and_blocks():
 
 
 def test_classes_are_unions_of_orbits():
-    m5 = r5_model()
+    m5 = cube_model(5)
     gen_list = list(m5.generators.values())
     for orbit in orbits(gen_list, 144):
         assert any(orbit <= pts for pts in m5.classes.values())
 
 
 def test_every_generator_preserves_every_class():
-    m5 = r5_model()
+    m5 = cube_model(5)
     for g in m5.generators.values():
         for pts in m5.classes.values():
             assert {g(a) for a in pts} == set(pts)
 
 
 def test_wing_blocks_span_both_chiral_orbits():
-    m5 = r5_model()
+    m5 = cube_model(5)
     gen_list = list(m5.generators.values())
     wing_orbits = [o for o in orbits(gen_list, 144) if o <= m5.classes["wings"]]
     assert len(wing_orbits) == 2
@@ -69,7 +68,7 @@ def test_wing_blocks_span_both_chiral_orbits():
 
 
 def test_r4_restriction():
-    m4 = r4_model()
+    m4 = cube_model(4)
     assert m4.degree == 96
     assert {k: len(v) for k, v in m4.classes.items()} == {
         "corners": 24, "wings": 48, "x_centers": 24}
@@ -79,19 +78,19 @@ def test_r4_restriction():
 
 
 def test_r4_restricted_r2_text():
-    m4 = r4_model()
+    m4 = cube_model(4)
     assert m4.source_text["r2"] == \
         "(39 87 10 95)(27 75 22 83)(15 63 34 71)(3 51 46 59)"
     assert parse_cycles(m4.source_text["r2"], 96) == m4.generators["r2"]
 
 
 def test_r5_source_text_is_verbatim():
-    m5 = r5_model()
+    m5 = cube_model(5)
     assert m5.source_text == GENERATOR_TABLES
 
 
-def test_r3_model_structure():
-    m3 = r3_model()
+def test_cube3_model_structure():
+    m3 = cube_model(3)
     assert m3.degree == 48
     assert sorted(m3.generators) == ["b", "d", "f", "l", "r", "u"]
     assert all(g.order() == 4 for g in m3.generators.values())
@@ -107,26 +106,26 @@ def test_cube_model_dispatch():
 
 
 def test_induced_corner_perm_of_r1():
-    m5 = r5_model()
+    m5 = cube_model(5)
     corner = induced_cubie_perm(m5, m5.generators["r1"], "corners")
     assert corner.cycle_type().parts == (4, 1, 1, 1, 1)
     assert corner.sign() == -1
 
 
 def test_induced_corner_perm_of_r2_is_identity():
-    m5 = r5_model()
+    m5 = cube_model(5)
     assert induced_cubie_perm(m5, m5.generators["r2"], "corners").is_identity()
 
 
 def test_induced_identity():
-    m5 = r5_model()
+    m5 = cube_model(5)
     ident = Permutation.identity(144)
     for name in m5.class_order:
         assert induced_cubie_perm(m5, ident, name).is_identity()
 
 
 def test_induced_rejects_block_breaker():
-    m5 = r5_model()
+    m5 = cube_model(5)
     a, b = m5.blocks["corners"][0][0], m5.blocks["corners"][1][0]
     breaker = parse_cycles(f"({a} {b})", 144)
     with pytest.raises(ValueError):
@@ -139,7 +138,7 @@ def test_induced_rejects_block_breaker():
 
 
 def test_sign_vectors_of_generators():
-    m5 = r5_model()
+    m5 = cube_model(5)
     outer = (-1, -1, 1, -1, -1)
     inner = (1, 1, -1, -1, 1)
     for name, g in m5.generators.items():
@@ -148,7 +147,7 @@ def test_sign_vectors_of_generators():
 
 
 def test_sign_character_image_has_order_four():
-    m5 = r5_model()
+    m5 = cube_model(5)
     vectors = {sign_vector(m5, g) for g in m5.generators.values()}
     group = {(1,) * 5}
     frontier = set(group)
@@ -165,7 +164,7 @@ def test_sign_character_image_has_order_four():
 
 
 def test_sign_vector_closure_on_random_elements():
-    m5 = r5_model()
+    m5 = cube_model(5)
     vectors = {sign_vector(m5, g) for g in m5.generators.values()}
     span = {(1,) * 5}
     frontier = set(span)
@@ -184,7 +183,7 @@ def test_sign_vector_closure_on_random_elements():
 
 
 def test_r4_corner_sign_equals_center_sign():
-    m4 = r4_model()
+    m4 = cube_model(4)
     order = m4.class_order
     ci, xi = order.index("corners"), order.index("x_centers")
     for name, g in m4.generators.items():
@@ -193,14 +192,14 @@ def test_r4_corner_sign_equals_center_sign():
 
 
 def test_orientation_sums_vanish_on_generators():
-    m5 = r5_model()
+    m5 = cube_model(5)
     for name, g in m5.generators.items():
         assert orientation_sum(m5, g, "corners") == 0, name
         assert orientation_sum(m5, g, "central_edges") == 0, name
 
 
 def test_orientation_sums_vanish_on_random_elements():
-    m5 = r5_model()
+    m5 = cube_model(5)
     sampler = m5.group().sampler(11)
     for _ in range(1000):
         p = sampler.next()
@@ -209,21 +208,21 @@ def test_orientation_sums_vanish_on_random_elements():
 
 
 def test_orientation_identity_and_validation():
-    m5 = r5_model()
+    m5 = cube_model(5)
     assert orientation_sum(m5, Permutation.identity(144), "corners") == 0
     with pytest.raises(ValueError):
         orientation_sum(m5, m5.generators["r1"], "wings")
 
 
 def test_sign_assignment_resolution():
-    report = resolve_sign_assignment(r5_model())
+    report = resolve_sign_assignment(cube_model(5))
     assert report["candidates"] == ["x_centers"]
     assert report["resolved"] == {"tau": "x_centers", "rho_c": "plus_centers",
                                   "rho_e": "wings"}
 
 
 def test_initial_config_valid_and_identity():
-    m5 = r5_model()
+    m5 = cube_model(5)
     cfg = ConfigTuple.initial()
     valid, conditions = validity_check(m5, cfg)
     assert valid and all(conditions.values())
@@ -231,7 +230,7 @@ def test_initial_config_valid_and_identity():
 
 
 def test_single_corner_twist_invalid():
-    m5 = r5_model()
+    m5 = cube_model(5)
     cfg = ConfigTuple(x=(1, 0, 0, 0, 0, 0, 0, 0), sigma_c=Permutation.identity(8),
                       y=(0,) * 12, sigma_e=Permutation.identity(12),
                       tau=Permutation.identity(24), rho_c=Permutation.identity(24),
@@ -243,7 +242,7 @@ def test_single_corner_twist_invalid():
 
 
 def test_generator_decodes_to_valid_config():
-    m5 = r5_model()
+    m5 = cube_model(5)
     cfg = decode_config(m5, m5.generators["r1"])
     valid, conditions = validity_check(m5, cfg, cross_check=True)
     assert valid
@@ -252,7 +251,7 @@ def test_generator_decodes_to_valid_config():
 
 
 def test_decode_encode_round_trip_random():
-    m5 = r5_model()
+    m5 = cube_model(5)
     sampler = m5.group().sampler(3)
     for _ in range(25):
         p = sampler.next()
@@ -263,7 +262,7 @@ def test_decode_encode_round_trip_random():
 
 
 def test_validity_matches_membership_on_random_tuples():
-    m5 = r5_model()
+    m5 = cube_model(5)
     rng = random.Random(1234)
 
     def random_perm(n):
@@ -287,7 +286,7 @@ def test_validity_matches_membership_on_random_tuples():
 
 
 def test_superflip_in_r3():
-    m3 = r3_model()
+    m3 = cube_model(3)
     sf = superflip_permutation(m3)
     assert sf.order() == 2
     assert all(sf * g == g * sf for g in m3.generators.values())
@@ -299,12 +298,12 @@ def test_superflip_in_r3():
 
 def test_superflip_only_in_r3():
     with pytest.raises(ValueError):
-        superflip_permutation(r5_model())
+        superflip_permutation(cube_model(5))
 
 
 def test_corner_sticker_transposition_not_a_member():
     # swapping two stickers breaks the corner-block structure
-    m5 = r5_model()
+    m5 = cube_model(5)
     group = m5.group()
     within_block = parse_cycles("(4 5)", 144)
     assert not group.contains(within_block)

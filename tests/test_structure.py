@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from cubegal.bsgs import PermutationGroup
-from cubegal.cubes import r3_model
+from cubegal.cubes import cube_model
 from cubegal.perm import Permutation, parse_cycles
 from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, WreathElement,
                                abelianization_order, commutes_with_all,
@@ -101,13 +101,13 @@ def test_superflip_abstract_properties():
 
 
 def test_superflip_central_against_decoded_generators():
-    gens = r3_abstract_generators(r3_model())
+    gens = r3_abstract_generators(cube_model(3))
     assert len(gens) == 6
     assert commutes_with_all(superflip_abstract(), gens.values())
 
 
 def test_decoded_generators_respect_fiber_conditions():
-    for corner, edge in r3_abstract_generators(r3_model()).values():
+    for corner, edge in r3_abstract_generators(cube_model(3)).values():
         assert corner.in_restricted
         assert edge.in_restricted
         assert corner.perm.sign() == edge.perm.sign()
@@ -115,7 +115,7 @@ def test_decoded_generators_respect_fiber_conditions():
 
 def test_decoding_is_a_homomorphism():
     from cubegal.cubes import piece_coordinates
-    m3 = r3_model()
+    m3 = cube_model(3)
     sampler = m3.group().sampler(21)
     for _ in range(10):
         p, q = sampler.next(), sampler.next()
@@ -142,7 +142,7 @@ def test_abelianization_a5_is_trivial():
 
 
 def test_abelianization_r3():
-    assert abelianization_order(r3_model().group()) == 2
+    assert abelianization_order(cube_model(3).group()) == 2
 
 
 def test_abelianization_cap_inconclusive():

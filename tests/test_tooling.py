@@ -1,8 +1,12 @@
 import ast
+import shlex
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubegal"
+from cubegal.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubegal"
 
 
 def test_no_assert_statements_in_package():
@@ -31,3 +35,14 @@ def test_runtime_imports_only_the_standard_library():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] not in allowed]
     assert found == []
+
+
+def test_readme_command_examples_parse():
+    # a flag the CLI drops must not linger in the documented examples
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["cubegal"]]
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
