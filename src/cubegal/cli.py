@@ -28,7 +28,6 @@ import time
 from . import evidence, theorems
 from .cubes import cube_model
 from .evidence import certify_symmetric, predict_wreath_types, scan, types_within
-from .perm import print_cycles
 from .polyq import discriminant, exact_str, load_poly
 from .sqclass import square_class_equal
 from .theorems import CheckReport, summarize
@@ -119,13 +118,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_gens(args) -> int:
     model = cube_model(args.cube)
-    entries = []
-    for name, perm in model.generators.items():
-        if model.source_text is not None:
-            cycles = model.source_text[name]
-        else:
-            cycles = print_cycles(perm)
-        entries.append((name, cycles))
+    entries = model.source_text.items()
     if args.report == "json":
         doc = {
             "version": 1,

@@ -30,7 +30,7 @@ from functools import cache, cached_property
 from importlib import resources
 
 from .bsgs import PermutationGroup
-from .perm import Permutation, block_system, orbits, parse_cycles
+from .perm import Permutation, block_system, orbits, parse_cycles, print_cycles
 
 # One permutation per move, cycle notation on the labels 1..144.
 # rN/bN/dN/uN/lN/fN turn the right/back/down/up/left/front layer; the
@@ -144,7 +144,7 @@ class StickerModel:
     generators: dict[str, Permutation]
     classes: dict[str, frozenset[int]]
     blocks: dict[str, tuple[tuple[int, ...], ...]]
-    source_text: dict[str, str] | None = None
+    source_text: dict[str, str]
     _group_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -401,8 +401,8 @@ def _build_r3() -> StickerModel:
         classes[name] = frozenset(relabel[s] for s in r5.classes[name])
         blocks[name] = tuple(sorted((tuple(relabel[s] for s in b) for b in r5.blocks[name]),
                                     key=min))
-    return StickerModel(size=3, degree=48, generators=gens,
-                        classes=classes, blocks=blocks, source_text=None)
+    return StickerModel(size=3, degree=48, generators=gens, classes=classes, blocks=blocks,
+                        source_text={name: print_cycles(p) for name, p in gens.items()})
 
 
 @cache

@@ -226,6 +226,18 @@ def discriminant(f: PolyQ) -> Fraction:
     return res / f.lc
 
 
+def compose(p: PolyQ, a: PolyQ, b: PolyQ) -> PolyQ:
+    """B^deg P * P(A/B), exact; with B = 1 this is P(A).
+
+    Horner on the homogenized P: acc <- acc*A + c_k*B^(n-k), k = n..0.
+    """
+    acc, b_pow = PolyQ.zero(), PolyQ.one()
+    for c in reversed(p.coeffs):
+        acc = acc * a + b_pow.scale(c)
+        b_pow = b_pow * b
+    return acc
+
+
 def trinomial_poly(u) -> PolyQ:
     """X^24 - u*(X + 1) for a nonzero rational u."""
     u = _coerce(u)

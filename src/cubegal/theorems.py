@@ -11,6 +11,20 @@ Where a stated coefficient and its derivation disagree (the first
 degree-24 factor of the professor family differs by a factor of 24
 between the two), both candidates are computed and both results are
 emitted; nothing is silently corrected.
+
+The two Rubik factors are built from their constructions.  The dense
+factor is
+
+    rubik_f = B^8 * P8(A/B),  P8(Y) = Y^8 - 2139Y + 6489,
+    A = X^3 - 3X + 1,  B = X^2 - X.
+
+A/B is Shanks' simplest-cubic map: it is invariant under the order-3
+substitution tau(x) = 1/(1 - x), so the 24 roots of f fall into 8
+tau-orbits of 3, one over each root of P8.  This decomposition was
+found numerically (integer relations among sums of three roots) and is
+checked exactly by the tests against the 25 stated coefficients.  The
+edge factor is rubik_g(X) = q(X^2) with q = X^12 + cX + c, so g and its
+degree-12 companion q come from the one constant c.
 """
 
 from __future__ import annotations
@@ -24,7 +38,8 @@ from . import evidence
 from .evidence import (certify_symmetric, parity_linkage, predict_wreath_types,
                        scan, triple_parity_linkage, types_within)
 from .perm import CycleType
-from .polyq import PolyQ, discriminant, exact_str, trinomial_disc, trinomial_poly
+from .polyq import (PolyQ, compose, discriminant, exact_str, trinomial_disc,
+                    trinomial_poly)
 from .sqclass import is_square, square_class_equal
 from .structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
                         r4_predicted_order, r5_predicted_order)
@@ -48,29 +63,22 @@ P2_CONST = 195574568093355782014153
 # the degree-24 polynomials
 # ---------------------------------------------------------------------------
 
-# dense factor with Galois group (C3 wr S8)^0; coefficients ascending
-_F_COEFFS = (1, -24, 252, -1504, 5502, -12096, 12880, 6819, -45384, 63686,
-             -10107, -114681, 234997, -266679, 199671, -97918, 26628, -627,
-             -1484, -168, 252, 8, -24, 0, 1)
-
-# X^24 + C (X^2 + 1): substituting Y = X^2 gives the 12-block structure
-# with Galois group (C2 wr S12)^0
-_G_NUM = 3852443469645611961262219752967766016
-_G_DEN = 384257037754753807138505851908147025
-
 
 def rubik_f() -> PolyQ:
-    return PolyQ.from_coeffs(_F_COEFFS)
+    """The dense factor B^8 P8(A/B), Galois group (C3 wr S8)^0."""
+    p8 = PolyQ.from_coeffs([6489, -2139, 0, 0, 0, 0, 0, 0, 1])  # Y^8 - 2139Y + 6489
+    a = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
+    b = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
+    return compose(p8, a, b)
 
 
 def rubik_g() -> PolyQ:
-    c = Fraction(_G_NUM, _G_DEN)
-    coeffs = [c, Fraction(0), c] + [Fraction(0)] * 21 + [Fraction(1)]
-    return PolyQ.from_coeffs(coeffs)
+    """X^24 + c(X^2 + 1) = q(X^2), Galois group (C2 wr S12)^0."""
+    return compose(rubik_g_resolvent(), PolyQ.from_coeffs([0, 0, 1]), PolyQ.one())
 
 
 def rubik_g_resolvent() -> PolyQ:
-    """The degree-12 companion q with rubik_g(X) = q(X^2).
+    """The degree-12 companion q = X^12 + cX + c, with rubik_g(X) = q(X^2).
 
     The edge group (C2 wr S12)^0 acts on the 24 roots of rubik_g with
     every element even (the flip-sum constraint forces an even number of
@@ -78,8 +86,9 @@ def rubik_g_resolvent() -> PolyQ:
     carries no sign information.  The linked sign character lives on the
     12 blocks, i.e. on the roots of q: the discriminant condition behind
     the fiber product compares disc(rubik_f) with disc(q)."""
-    c = Fraction(_G_NUM, _G_DEN)
-    return PolyQ.from_coeffs([c, c] + [Fraction(0)] * 10 + [Fraction(1)])
+    c = Fraction(3852443469645611961262219752967766016,
+                 384257037754753807138505851908147025)
+    return PolyQ.from_coeffs([c, c] + [0] * 10 + [1])
 
 
 def revenge_g_coefficient() -> Fraction:
@@ -361,6 +370,7 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     opts = opts or SuiteOptions()
     checks = verify_rubik(opts)
     params = derive_parameters()
+    f, g = rubik_f(), revenge_g()
 
     def coeff():
         stated = revenge_g_coefficient()
@@ -384,13 +394,12 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run(checks, "revenge.disc_class_f_equals_g",
          "the dense factor and the trinomial factor share the class 7c",
          "disc f == disc g in Q*/(Q*)^2",
-         lambda: _class_check(discriminant(rubik_f()), discriminant(revenge_g())))
+         lambda: _class_check(discriminant(f), discriminant(g)))
 
     _run(checks, "revenge.parity_linkage_fg",
          "equal discriminant classes force equal Frobenius parities",
          "0 violations",
-         lambda: _violations(parity_linkage(rubik_f(), revenge_g(), opts.linkage_budget,
-                                            jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs)))
 
     _run_order(checks, "revenge.fiber_order_n4", "Revenge Cube", r4_predicted_order, R4_ORDER)
 
@@ -454,7 +463,7 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run_order(checks, "professor.fiber_order_n5", "Professor's Cube", r5_predicted_order,
                R5_ORDER)
 
-    h1d, h2, h3 = trinomial_poly(params.u1), professor_h2(), professor_h3()
+    h1d, h2, h3 = (trinomial_poly(u) for u in (params.u1, params.u2, params.u3))
     for name, poly in (("h1_derived", h1d), ("h2", h2), ("h3", h3)):
         _run_certify(checks, f"professor.certify_{name}_symmetric",
                      "every degree-24 trinomial factor must be full symmetric",

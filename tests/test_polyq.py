@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubegal.polyq import (PolyQ, discriminant, exact_str, load_poly,
+from cubegal.polyq import (PolyQ, compose, discriminant, exact_str, load_poly,
                            poly_from_json, poly_to_json, resultant, save_poly,
                            trinomial_disc, trinomial_poly)
 from cubegal.theorems import rubik_f
@@ -96,6 +96,25 @@ def test_eval_examples():
 def test_eval_dense_factor_at_one_is_coefficient_sum():
     f = rubik_f()
     assert f.eval(1) == sum(f.coeffs)
+
+
+def test_compose_is_the_homogenized_substitution():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    def polys(min_size):
+        return st.lists(st.integers(-5, 5), min_size=min_size, max_size=6).map(PolyQ.from_coeffs)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(polys(0), polys(0), polys(1).filter(lambda b: not b.is_zero),
+           st.fractions(-10, 10, max_denominator=10))
+    def check(p, a, b, x):
+        assume(b.eval(x) != 0)
+        want = b.eval(x) ** p.degree * p.eval(a.eval(x) / b.eval(x))
+        assert compose(p, a, b).eval(x) == want
+        assert compose(p, PolyQ.from_coeffs([0, 1]), PolyQ.one()) == p
+
+    check()
 
 
 def test_resultant_convention_linear():

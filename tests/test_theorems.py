@@ -6,7 +6,7 @@ import pytest
 
 from cubegal.evidence import parity_linkage
 from cubegal.polymod import primes
-from cubegal.polyq import PolyQ, discriminant, trinomial_disc, trinomial_poly
+from cubegal.polyq import PolyQ, compose, discriminant, trinomial_disc, trinomial_poly
 from cubegal.sqclass import is_square, square_class_equal
 from cubegal.theorems import (C_COFACTOR, P2_CONST, Q_CONST, TARGET_CLASS,
                               Z_PARAM, SuiteOptions, derive_parameters,
@@ -67,6 +67,28 @@ def test_h1_literal_differs_by_factor_24():
     assert not square_class_equal(
         trinomial_disc(-stated), TARGET_CLASS)
     assert professor_h1_stated().coeffs[0] == stated
+
+
+def test_rubik_f_is_the_stated_polynomial():
+    # the 25 stated coefficients, ascending, against the construction B^8 P8(A/B)
+    stated = (1, -24, 252, -1504, 5502, -12096, 12880, 6819, -45384, 63686,
+              -10107, -114681, 234997, -266679, 199671, -97918, 26628, -627,
+              -1484, -168, 252, 8, -24, 0, 1)
+    assert rubik_f() == PolyQ.from_coeffs(stated)
+
+
+def test_rubik_f_is_invariant_under_the_order_3_substitution():
+    # tau(x) = 1/(1 - x) leaves A/B fixed, so (1 - X)^24 f(tau X) = f
+    f = rubik_f()
+    assert compose(f, PolyQ.one(), PolyQ.from_coeffs([1, -1])) == f
+
+
+def test_rubik_g_is_the_stated_polynomial():
+    c = Fraction(3852443469645611961262219752967766016,
+                 384257037754753807138505851908147025)
+    stated = PolyQ.from_coeffs([c, 0, c] + [0] * 21 + [1])  # X^24 + cX^2 + c
+    assert rubik_g() == stated
+    assert rubik_g_resolvent() == PolyQ.from_coeffs([c, c] + [0] * 10 + [1])
 
 
 def test_rubik_g_resolvent_relation():
