@@ -25,12 +25,10 @@ import os
 import sys
 import time
 
-from . import evidence, theorems
+# the number layer (polyq, sqclass, evidence, theorems) is imported by the
+# commands that run it, so `order` and `gens` start without loading it
 from .cubes import cube_model
-from .evidence import certify_symmetric, predict_wreath_types, scan, types_within
-from .polyq import discriminant, exact_str, load_poly
-from .sqclass import square_class_equal
-from .theorems import CheckReport, summarize
+from .report import CheckReport, summarize
 
 
 class _UsageError(Exception):
@@ -55,6 +53,7 @@ def _available_cpus() -> int:
 
 
 def _load_poly(path: str):
+    from .polyq import load_poly
     try:
         f = load_poly(path)
     except (OSError, ValueError) as exc:
@@ -133,6 +132,8 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_disc(args) -> int:
+    from .polyq import discriminant, exact_str
+    from .sqclass import square_class_equal
     f = _load_poly(args.poly)
     start = time.perf_counter()
     d = discriminant(f)
@@ -170,23 +171,26 @@ def _cmd_frobenius(args) -> int:
 
 
 def _frobenius_report(args, f) -> int:
+    from .evidence import (DEFAULT_SCAN_BUDGET, certify_symmetric, predict_wreath_types,
+                           scan, types_within)
+    budget = DEFAULT_SCAN_BUDGET if args.primes is None else args.primes
     checks: list[CheckReport] = []
     lines: list[str] = []
     start = time.perf_counter()
-    profile = scan(f, args.primes, jobs=args.jobs, poly_id=os.path.basename(args.poly))
+    profile = scan(f, budget, jobs=args.jobs, poly_id=os.path.basename(args.poly))
     ms = int((time.perf_counter() - start) * 1000)
     summary = profile.summary()
     lines.append(json.dumps(summary, indent=1))
     checks.append(CheckReport(
         check_id="frobenius.scan", status="pass",
-        expected=f"{args.primes} good primes",
+        expected=f"{budget} good primes",
         actual=f"{profile.primes_scanned} good, {len(profile.bad_primes)} bad, "
                f"{profile.distinct_types()} distinct types",
         citation="distinct-degree factorization cycle types", ms=ms,
     ))
     if args.certify == "symmetric":
         start = time.perf_counter()
-        cert = certify_symmetric(f, args.primes, jobs=args.jobs)
+        cert = certify_symmetric(f, budget, jobs=args.jobs)
         ms = int((time.perf_counter() - start) * 1000)
         if cert is None:
             checks.append(CheckReport(
@@ -216,6 +220,7 @@ def _frobenius_report(args, f) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import theorems
     opts = theorems.SuiteOptions(jobs=args.jobs)
     if args.primes is not None:
         opts.scan_budget = args.primes
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frobenius", parents=[common], help="cycle-type scan")
     p.add_argument("--poly", required=True, help="polynomial JSON file")
-    p.add_argument("--primes", type=_positive_int, default=evidence.DEFAULT_SCAN_BUDGET)
+    p.add_argument("--primes", type=_positive_int)  # default: evidence.DEFAULT_SCAN_BUDGET
     p.add_argument("--certify", choices=("symmetric", "wreath-3-8", "wreath-2-12"))
     p.set_defaults(fn=_cmd_frobenius)
 

@@ -40,6 +40,7 @@ from .evidence import (certify_symmetric, parity_linkage, predict_wreath_types,
 from .perm import CycleType
 from .polyq import (PolyQ, compose, discriminant, exact_str, trinomial_disc,
                     trinomial_poly)
+from .report import CheckReport
 from .sqclass import is_square, square_class_equal
 from .structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
                         r4_predicted_order, r5_predicted_order)
@@ -185,37 +186,8 @@ def displayed_disc_g(s) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# check reports
+# check runners
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckReport:
-    """One verified claim: identifier, outcome, exact values, citation."""
-
-    check_id: str
-    status: str  # pass | fail | skip | inconclusive
-    expected: str
-    actual: str
-    citation: str
-    ms: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "citation": self.citation,
-            "ms": self.ms,
-        }
-
-
-def summarize(checks: list[CheckReport]) -> dict:
-    counts = {"pass": 0, "fail": 0, "skip": 0, "inconclusive": 0}
-    for c in checks:
-        counts[c.status] += 1
-    return counts
 
 
 def _run(checks: list[CheckReport], check_id: str, citation: str,
@@ -285,10 +257,13 @@ class SuiteOptions:
 
 
 def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
-    opts = opts or SuiteOptions()
+    return _rubik_checks(opts or SuiteOptions(), rubik_f())
+
+
+def _rubik_checks(opts: SuiteOptions, f: PolyQ) -> list[CheckReport]:
+    """The rubik suite on an already built rubik_f, which revenge reuses."""
     checks: list[CheckReport] = []
-    f, g = rubik_f(), rubik_g()
-    q = rubik_g_resolvent()
+    g, q = rubik_g(), rubik_g_resolvent()
 
     _run(checks, "rubik.disc_class_f_equals_g_resolvent",
          "the sign linkage compares disc f with the discriminant of the "
@@ -368,9 +343,9 @@ def verify_rubik(opts: SuiteOptions | None = None) -> list[CheckReport]:
 
 def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     opts = opts or SuiteOptions()
-    checks = verify_rubik(opts)
-    params = derive_parameters()
     f, g = rubik_f(), revenge_g()
+    checks = _rubik_checks(opts, f)
+    params = derive_parameters()
 
     def coeff():
         stated = revenge_g_coefficient()
@@ -413,16 +388,17 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
     opts = opts or SuiteOptions()
     checks: list[CheckReport] = []
     f = rubik_f()
+    params = None
 
     def identities():
-        derive_parameters()  # raises on any failed identity
+        nonlocal params
+        params = derive_parameters()  # raises on any failed identity
         return True, "all parameter identities hold"
     report = _run(checks, "professor.parameter_identities",
                   "23*7c+1 = 32Q = 16z; 23z-1 = 3^5*7*p2; 23*v2+1 a rational square",
                   "exact integer/rational identities", identities)
     if report.status == "fail":
         return checks
-    params = derive_parameters()
 
     def u2_coeff():
         stated = Fraction(2 ** 75 * 3 ** 14 * Q_CONST, 7 ** 2 * 23 ** 22 * P2_CONST ** 2)

@@ -131,6 +131,43 @@ def test_frobenius_wreath_containment(tmp_path, capsys):
     assert "0 types outside" in out
 
 
+def test_frobenius_scans_the_default_budget_without_primes(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    save_poly(PolyQ.from_coeffs([-1, -1, 0, 1]), path)  # X^3 - X - 1
+    code, out = run_cli(capsys, "frobenius", "--poly", str(path), "--jobs", "1",
+                        "--report", "json")
+    assert code == 0
+    scan = json.loads(out)["checks"][0]
+    assert scan["expected"] == f"{evidence.DEFAULT_SCAN_BUDGET} good primes"
+    assert scan["actual"].startswith(f"{evidence.DEFAULT_SCAN_BUDGET} good, ")
+
+
+_FROBENIUS_HELP = """\
+usage: cubegal frobenius [-h] [--report {text,json}] [--jobs JOBS]
+                         [--seed SEED] [--out OUT] --poly POLY
+                         [--primes PRIMES]
+                         [--certify {symmetric,wreath-3-8,wreath-2-12}]
+
+options:
+  -h, --help            show this help message and exit
+  --report {text,json}
+  --jobs JOBS           worker processes for prime scans (default: the CPUs
+                        available to this process)
+  --seed SEED           seed for randomized group construction
+  --out OUT             write the report to a file
+  --poly POLY           polynomial JSON file
+  --primes PRIMES
+  --certify {symmetric,wreath-3-8,wreath-2-12}
+"""
+
+
+def test_frobenius_help_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli_main(["frobenius", "--help"])
+    assert capsys.readouterr().out == _FROBENIUS_HELP
+
+
 def test_verify_rubik_report_deterministic(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

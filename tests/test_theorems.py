@@ -7,6 +7,7 @@ import pytest
 from cubegal.evidence import parity_linkage
 from cubegal.polymod import primes
 from cubegal.polyq import PolyQ, compose, discriminant, trinomial_disc, trinomial_poly
+from cubegal.report import summarize
 from cubegal.sqclass import is_square, square_class_equal
 from cubegal.theorems import (C_COFACTOR, P2_CONST, Q_CONST, TARGET_CLASS,
                               Z_PARAM, SuiteOptions, derive_parameters,
@@ -14,7 +15,7 @@ from cubegal.theorems import (C_COFACTOR, P2_CONST, Q_CONST, TARGET_CLASS,
                               professor_h1_stated_coefficient, professor_h2,
                               professor_h3, revenge_g, revenge_g_coefficient,
                               revenge_h, rubik_f, rubik_g, rubik_g_resolvent,
-                              summarize, t_of, verify_theorem)
+                              t_of, verify_theorem)
 from cubegal.theorems import _run, _violations
 
 

@@ -1,5 +1,8 @@
 import ast
+import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,3 +49,28 @@ def test_readme_command_examples_parse():
     assert len(commands) >= 5
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+_LAYERING_PROBE = """\
+import json, os, sys
+from cubegal.cli import cli_main
+codes = [cli_main(["order", "--cube", "3", "--report", "json", "--out", os.devnull]),
+         cli_main(["gens", "--cube", "3", "--out", os.devnull])]
+loaded = sorted(set(sys.argv[1:]) & set(sys.modules))
+codes.append(cli_main(["verify", "--theorem", "rubik", "--primes", "5", "--jobs", "1",
+                       "--out", os.devnull]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "theorems_after_verify": "cubegal.theorems" in sys.modules}))
+"""
+
+
+def test_order_and_gens_leave_the_number_layer_unimported():
+    # cold start: order and gens need only perm, bsgs, cubes and structure
+    number_layer = ["cubegal.evidence", "cubegal.theorems", "cubegal.polymod",
+                    "cubegal.polyq", "cubegal.sqclass", "concurrent.futures.process"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _LAYERING_PROBE, *number_layer],
+                         env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
