@@ -1,11 +1,18 @@
 """Base and strong generating sets for permutation groups.
 
 Construction is randomized Schreier-Sims (product-replacement sampling)
-followed by a deterministic verification pass that sifts every Schreier
-generator at every level of the stabilizer chain, repairing any gap it
-finds.  A finished chain therefore satisfies Schreier's lemma at every
-level by direct computation, so the published order and the membership
-test are certificates, not Monte Carlo claims.
+followed by a deterministic verification pass with repair.  At each
+level i, with generator set S_i and base point b_i, the pass sifts every
+Schreier generator of S_i with respect to b_i through the levels below,
+which proves that the stabilizer of b_i in <S_i> lies in the chain below.
+The levels are not nested: `_prune` rebuilds each level from its own
+orbit walk, so a deeper level may hold generators that level i lacks,
+and the pass is not the full Schreier-Sims criterion.  What it leaves
+proved: a membership test that answers yes (the element is a product of
+transversal words), and the order as a lower bound (the product of the
+basic orbit sizes counts distinct group elements).  The full criterion,
+over the union of the generators at levels >= i, is checked for the
+three cube chains by `tests/test_bsgs.py`.
 
 All orders are exact arbitrary-precision integers.  The chain works on
 the permutations' own 0-based image tables, 256-byte ``bytes`` padded
@@ -71,9 +78,9 @@ class ProductReplacementSampler:
 
 
 class PermutationGroup:
-    """A generated permutation group with a verified base and strong
-    generating set: exact order, membership test, reproducible random
-    elements."""
+    """A generated permutation group with a base and strong generating
+    set, checked as the module docstring states: order, membership test,
+    reproducible random elements."""
 
     def __init__(self, generators, seed: int = DEFAULT_SEED):
         gens = list(generators)
@@ -184,9 +191,9 @@ class PermutationGroup:
         """Adjoin the sift residue g to levels 0..stick.
 
         g fixes every base point before `stick`, so it belongs to each of
-        those stabilizers; keeping the level sets nested this way is what
-        makes the verification induction sound.  When g moves no existing
-        base point a new level is opened at its first moved point
+        those stabilizers.  The level sets stay nested only until `_prune`
+        rebuilds each level on its own.  When g moves no existing base
+        point a new level is opened at its first moved point
         (first-moved-point base heuristic).
         """
         if stick == len(self._levels):
@@ -220,7 +227,7 @@ class PermutationGroup:
         while clean < _CLEAN_SIFTS:
             clean = 0 if self._adjoin((sampler._step(),)) else clean + 1
         self._prune(set(raw_gens))
-        # verify, then make sure the certified group is still the group the
+        # verify, then make sure the checked group is still the group the
         # inputs generate (pruning could in principle drop span-essential
         # generators); every re-insertion grows a basic orbit, so this loop
         # terminates
@@ -234,10 +241,10 @@ class PermutationGroup:
         One orbit walk per level from scratch records which generators
         first reached each orbit point; the rest are redundant for the
         orbit (though not necessarily for the stabilizer below - the
-        verification pass restores anything still needed).  Transversals
+        verification pass re-adjoins what its check finds missing).  Transversals
         are rebuilt from the kept generators so every transversal word
         stays inside the kept span.  The original input generators are
-        never dropped from the top level: the certified group must remain
+        never dropped from the top level: the chain's group must remain
         the group they generate.
         """
         for depth, lvl in enumerate(self._levels):
@@ -253,7 +260,8 @@ class PermutationGroup:
             self._levels[depth] = pruned
 
     def _check_level(self, i: int):
-        """Sift every Schreier generator of level i through the chain below.
+        """Sift every Schreier generator of level i's own generators
+        through the chain below (deeper levels' generators are not used).
 
         Returns None when all reduce to the identity, else the first
         failing residue and the level index where it stuck.
@@ -273,11 +281,11 @@ class PermutationGroup:
     def _verify(self):
         """Deterministic Schreier-Sims verification with repair.
 
-        Levels are certified deepest-first.  A repair adjoins the residue
+        Levels are checked deepest-first.  A repair adjoins the residue
         (levels 0..stick) and strictly enlarges the product of the basic
         orbit sizes, which is bounded by |G|, so the loop terminates.
         Levels deeper than the repair point are untouched by it and stay
-        certified; re-checking resumes at the repair level.
+        checked; re-checking resumes at the repair level.
         """
         i = len(self._levels) - 1
         while i >= 0:

@@ -23,11 +23,9 @@ and `encode_config` places pieces back by the same convention.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from importlib import resources
 
 from .bsgs import PermutationGroup
 from .perm import Permutation, block_system, orbits, parse_cycles, print_cycles
@@ -102,10 +100,12 @@ def canonical_table_text() -> str:
 
 
 def tables_digest() -> str:
+    import hashlib  # loads OpenSSL, so only sticker-model builds pay for it
     return hashlib.sha256(canonical_table_text().encode()).hexdigest()
 
 
 def load_net() -> dict:
+    from importlib import resources
     path = resources.files(__package__).joinpath("data/professor_net.json")
     with path.open(encoding="utf-8") as fh:
         net = json.load(fh)

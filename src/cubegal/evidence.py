@@ -39,8 +39,8 @@ the only other outcome.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from itertools import islice, product
@@ -71,6 +71,17 @@ _TYPES_MAX = 1 << 20
 _POOL_CHUNK = 64
 # (poly, p) keys per task that pool.map sends to a worker
 _MAP_CHUNK = 8
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported at its first use, so a process that
+    # starts no pool never loads concurrent.futures.process or
+    # multiprocessing; it is then cached in the module like an import
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _type_worker(key):
@@ -108,7 +119,9 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
             misses = [key for key in keys if key not in types]
             if misses and jobs > 1 and pool is None:
                 workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # through the module, so the lazy name above resolves
+                pool_class = sys.modules[__name__].ProcessPoolExecutor
+                pool = stack.enter_context(pool_class(max_workers=workers))
             if pool is None:
                 computed = map(_type_worker, misses)
             else:

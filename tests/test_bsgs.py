@@ -70,6 +70,42 @@ def test_order_equals_product_of_basic_orbits():
     assert prod == g.order()
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cube_chains_meet_the_nested_schreier_criterion(n):
+    # _prune rebuilds every level from its own orbit walk, so a deeper level
+    # may hold generators that the level above lacks, and _check_level(i)
+    # covers only level i's own generators.  The textbook criterion takes,
+    # at each level i, the union T_i of the generators at levels >= i: each
+    # fixes the earlier base points and maps the basic orbit into itself,
+    # and every Schreier generator u_d t u_(dt)^-1 sifts to the identity
+    # through the levels below.  Bottom up, <T_i> is then the product of
+    # the transversals from level i on, so the order is proved.
+    from cubegal.cubes import cube_model
+    from cubegal.perm import IDENT256
+    group = cube_model(n).group(seed=1)
+    levels = group._levels
+    sifts, failures = 0, []
+    for i, lvl in enumerate(levels):
+        gens = list(dict.fromkeys(g for deeper in levels[i:] for g in deeper.gens))
+        earlier = [above.point for above in levels[:i]]
+        assert all(g[b] == b for g in gens for b in earlier), f"level {i}"
+        for delta, u in lvl.trans.items():
+            for t in gens:
+                gamma = t[delta]
+                if gamma not in lvl.trans:
+                    failures.append((i, "orbit", delta))
+                    continue
+                w = u.translate(t)
+                if w == lvl.trans[gamma]:
+                    continue
+                sifts += 1
+                residue, stick = group._sift(w.translate(lvl.invtrans[gamma]), i + 1)
+                if stick < len(levels) or residue != IDENT256:
+                    failures.append((i, "sift", delta))
+    assert failures == []
+    assert sifts > 0
+
+
 def test_empty_generators_rejected():
     with pytest.raises(ValueError):
         PermutationGroup([])
