@@ -271,7 +271,8 @@ class SymmetricCertificate:
     def revalidate(self, f: PolyQ) -> bool:
         """Recompute every witness, and the discriminant, from scratch."""
         n = f.degree
-        if n != self.degree:
+        witnesses = (self.transitive_prime, self.primitive_prime, self.jordan_prime)
+        if n != self.degree or not all(is_prime(p) for p in witnesses):
             return False
         t1 = frobenius_type(f, self.transitive_prime)
         if t1 is None or t1.parts != (n,):

@@ -16,7 +16,18 @@ computes X^p mod f once by square-and-multiply, then the rows X^(ip)
 mod f of the Frobenius (Berlekamp Q-) matrix, and gets every later
 X^(p^d) as a linear combination of those rows (von zur Gathen &
 Gerhard, "Modern Computer Algebra", 14.2).  The gcds and exact divisions
-run on plain lists through one long-division loop, `_divmod`.
+run on plain lists through one in-place long-division loop, `_reduce`.
+A batch of degrees shares one gcd, and a batch whose factors are down
+to one irreducible factor stops without further gcds.
+
+`frobenius_type` reads a rational polynomial at a prime, and decides
+squarefreeness from disc f mod p (computed once per polynomial) rather
+than from gcd(f, f').  Stickelberger's theorem then checks every type
+it returns: the degrees sum to deg f, and at odd p the parity equals
+the Legendre symbol (disc f / p).  At p = 2 the gcd still runs and is
+checked against disc f mod 2.  A type that fails its check raises
+ArithmeticError, so a kernel fault cannot pass as evidence.
+`ddf_cycle_type`, on a polynomial already over F_p, keeps the gcd.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -24,6 +35,7 @@ scans reproduce exactly without a seed.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +43,7 @@ from itertools import count
 from operator import mul
 
 from .perm import CycleType
-from .polyq import PolyQ
+from .polyq import PolyQ, discriminant
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
 # (Sorenson & Webster); far beyond any modulus used here.
@@ -107,24 +119,37 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
+def _reduce(r: list[int], b: list[int], p: int, quotient: list[int] | None = None) -> list[int]:
+    """r mod b, computed in r itself, which it returns trimmed; b is
+    trimmed and nonzero, and both hold residues below p.
+
+    The one long-division loop: each step pops the top coefficient of r
+    and subtracts its multiple of b from the coefficients below it.  The
+    quotient's coefficients, highest first, are appended to `quotient`
+    when given."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    below = range(db)
+    while len(r) > db:
+        factor = r.pop() * inv % p
+        if quotient is not None:
+            quotient.append(factor)
+        if factor:
+            k = len(r) - db
+            for i in below:
+                r[k + i] = (r[k + i] - factor * b[i]) % p
+    return _trim(r)
+
+
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(q, r) with a = q * b + r and deg r < deg b, for trimmed b whose
     residues are below p; a may hold any ints."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [c % p for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(r) - db)
-    for k in range(len(q) - 1, -1, -1):
-        top = r[db + k]
-        if top:
-            factor = top * inv % p
-            q[k] = factor
-            for i in range(db + 1):
-                r[i + k] = (r[i + k] - factor * b[i]) % p
-    del r[db:]
-    return _trim(q), _trim(r)
+    q: list[int] = []
+    r = _reduce([c % p for c in a], b, p, q)
+    q.reverse()
+    return _trim(q), r
 
 
 def _rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -139,9 +164,12 @@ def _divexact(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b, both trimmed with residues below p."""
+    """Monic gcd of a and b, both trimmed with residues below p.
+
+    Euclid on two working copies, each remainder computed in place."""
+    a, b = list(a), list(b)
     while b:
-        a, b = b, _rem(a, b, p)
+        a, b = b, _reduce(a, b, p)
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -205,28 +233,37 @@ class _Residues:
         p = self.p
         return [s % p for s in slots]
 
-    def mulmod(self, a: list[int], b: list[int]) -> list[int]:
-        """a * b mod f: one bignum multiply, then the high slots folded back."""
-        c = self.pack(a) * self.pack(b)
+    def fold(self, c: int) -> list[int]:
+        """The residue mod f of c, a product of two packed residues: its
+        high slots folded back onto the low ones."""
         high = self.unpack_mod(c >> self.shift)
         return self.unpack_mod(sum(map(mul, high, self.rows), c & self.low))
 
+    def mulmod(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b mod f: one bignum multiply, then the high slots folded back."""
+        return self.fold(self.pack(a) * self.pack(b))
+
     def power(self, a: list[int], e: int) -> list[int]:
-        """a^e by left-to-right square-and-multiply, for e >= 1."""
+        """a^e by left-to-right square-and-multiply, for e >= 1; each
+        operand is packed once, and a square multiplies one pack by itself."""
+        base = v = self.pack(a)
         r = a
         for bit in bin(e)[3:]:
-            r = self.mulmod(r, r)
+            r = self.fold(v * v)
             if bit == "1":
-                r = self.mulmod(r, a)
+                r = self.fold(self.pack(r) * base)
+            v = self.pack(r)
         return r
 
     def frobenius(self, xp: list[int]) -> list[int]:
         """The packed rows X^(ip) mod f, i < n, of the Frobenius matrix Q,
-        from xp = X^p mod f; n >= 2."""
-        w, rows = xp, [self.pack([1] + [0] * (self.n - 1)), self.pack(xp)]
+        from xp = X^p mod f; n >= 2.  Each row is packed once, and serves
+        both as a row and as the factor that gives the next one."""
+        row = packed_xp = self.pack(xp)
+        rows = [1, packed_xp]  # X^0 packed is the int 1
         while len(rows) < self.n:
-            w = self.mulmod(w, xp)
-            rows.append(self.pack(w))
+            row = self.pack(self.fold(row * packed_xp))
+            rows.append(row)
         return rows
 
     def apply(self, w: list[int], q: list[int]) -> list[int]:
@@ -239,6 +276,8 @@ class _Residues:
 
 def _mod_p(c: Fraction, p: int) -> int | None:
     """The residue of c mod p; None when p divides its denominator."""
+    if c.denominator == 1:
+        return c.numerator % p
     if c.denominator % p == 0:
         return None
     return c.numerator * pow(c.denominator, -1, p) % p
@@ -280,9 +319,10 @@ def powmod(base: PolyFp, e: int, modpoly: PolyFp) -> PolyFp:
     return PolyFp(p, tuple(_Residues(f, p).power(a, e)))
 
 
-def ddf_cycle_type(f: PolyFp):
-    """Multiset of irreducible-factor degrees of f mod p; None when f is
-    not squarefree.
+def _ddf(f: list[int], p: int) -> CycleType:
+    """Irreducible-factor degrees of f, monic and squarefree of degree
+    n >= 1 over F_p: the DDF body that ddf_cycle_type and frobenius_type
+    share.
 
     Let f* be what is left of f once its factors of degree < d are
     removed; its factors of degree d are those of gcd(X^(p^d) - X, f*),
@@ -293,24 +333,21 @@ def ddf_cycle_type(f: PolyFp):
     rows, with no further powering.  Powers stay reduced mod f itself,
     which f* divides, so the gcds with f* are unchanged.
 
-    Degrees are tried _DDF_BATCH at a time: one gcd of f* with the
+    Degrees are tried _DDF_BATCH at a time: one gcd g of f* with the
     product of the w - X tells whether any of them has factors, and only
-    then does each w - X get its own gcd, in increasing d, with that
-    first gcd.  Factors of degree dividing an earlier d of the batch are
-    gone from it by then, so each factor counts at its own degree.
+    then does each w - X get its own gcd with g, in increasing d.
+    Factors of degree dividing an earlier d of the batch are gone from g
+    by then, so each factor counts at its own degree.  Early stop: when
+    the refinement reaches degree e and g is nontrivial with deg g < 2e,
+    every factor left in g has degree >= e, so g is one irreducible
+    factor, recorded without further gcds.
 
-    For squarefree f the factors are distinct, so multiplicity in the
-    returned type is the count of factors of that degree.
+    f is squarefree, so its factors are distinct, and multiplicity in
+    the returned type is the count of factors of that degree.
     """
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        raise ValueError("constant polynomial")
-    p, n = f.p, f.degree
-    fstar = list(f.monic().coeffs)
-    if len(_gcd(fstar, _deriv(fstar, p), p)) != 1:
-        return None
-    residues = _Residues(fstar, p)
+    n = len(f) - 1
+    residues = _Residues(f, p)
+    fstar = f
     parts: list[int] = []
     w = q = None
     d = 0
@@ -333,7 +370,10 @@ def ddf_cycle_type(f: PolyFp):
             product = residues.mulmod(product, delta)
         g = _gcd(_trim(product), fstar, p)
         for e, delta in batch:
-            if len(g) == 1:
+            if len(g) - 1 < 2 * e:  # g is 1 or one irreducible factor
+                if len(g) > 1:
+                    parts.append(len(g) - 1)
+                    fstar = _divexact(fstar, g, p)
                 break
             factors = _gcd(_trim(delta), g, p)
             if len(factors) > 1:
@@ -345,13 +385,64 @@ def ddf_cycle_type(f: PolyFp):
     return CycleType(tuple(parts))
 
 
+def ddf_cycle_type(f: PolyFp):
+    """Multiset of irreducible-factor degrees of f mod p; None when f is
+    not squarefree.
+
+    Squarefreeness is decided by gcd(f, f'); the degrees then come from
+    the DDF body `_ddf`, batched and with its early stop.
+    """
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    if f.degree == 0:
+        raise ValueError("constant polynomial")
+    p = f.p
+    fstar = list(f.monic().coeffs)
+    if len(_gcd(fstar, _deriv(fstar, p), p)) != 1:
+        return None
+    return _ddf(fstar, p)
+
+
+# disc f for the last few polynomials seen; computed once per polynomial
+# in each process, pool workers included
+_discriminant = functools.lru_cache(maxsize=32)(discriminant)
+
+
 def frobenius_type(f: PolyQ, p: int):
     """Cycle type of f mod p, or None when p is bad (undefined or
-    ramified reduction)."""
+    ramified reduction).
+
+    Where the reduction is defined, p divides no denominator of disc f
+    (an integer polynomial in f's coefficients), and f mod p is
+    squarefree iff p does not divide disc f.  That decides squarefreeness
+    here, with disc f computed once per polynomial, so no gcd(f, f') runs
+    at odd p; the degrees come from the DDF body `_ddf`, as in
+    ddf_cycle_type.  Every type is then checked against Stickelberger's
+    theorem: its degrees sum to deg f, and at odd p its parity equals
+    the Legendre symbol (disc f / p), by Euler's criterion.  At p = 2,
+    where no such symbol applies, the gcd still decides squarefreeness
+    and its verdict is checked against disc f mod 2.  A failed check is
+    a kernel fault and raises ArithmeticError.
+    """
     reduced = reduce_mod_p(f, p)
     if reduced is None:
         return None
-    return ddf_cycle_type(reduced)
+    n = reduced.degree
+    if n == 0:
+        raise ValueError("constant polynomial")
+    disc = _mod_p(_discriminant(f), p)
+    fstar = list(reduced.monic().coeffs)
+    if p == 2 and (len(_gcd(fstar, _deriv(fstar, p), p)) == 1) != bool(disc):
+        raise ArithmeticError(f"degree-{n} polynomial at p=2: the squarefree gcd "
+                              f"disagrees with disc f mod 2")
+    if not disc:
+        return None
+    t = _ddf(fstar, p)
+    euler = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+    if t.degree != n or (p != 2 and t.parity != euler):
+        raise ArithmeticError(f"degree-{n} polynomial at p={p}: Frobenius type {t} "
+                              f"contradicts Stickelberger's theorem")
+    return t
 
 
 def legendre(a: Fraction | int, p: int) -> int:

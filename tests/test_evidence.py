@@ -156,6 +156,10 @@ def test_certify_revalidation_rejects_tampering():
     # is not prime
     assert not replace(cert, jordan_prime=31, jordan_cycle=23).revalidate(h)
     assert not replace(cert, jordan_prime=5, jordan_cycle=9).revalidate(h)
+    # a witness that is not a prime is no witness, and revalidation says so
+    for field in ("transitive_prime", "primitive_prime", "jordan_prime"):
+        for not_prime in (9, 1, -5):
+            assert not replace(cert, **{field: not_prime}).revalidate(h), (field, not_prime)
 
 
 def test_parity_linkage_reflexive():

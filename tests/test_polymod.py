@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubegal import theorems
+from cubegal import polymod, theorems
 from cubegal.perm import CycleType
 from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _trim,
                              ddf_cycle_type, frobenius_type, is_prime, legendre,
@@ -24,6 +24,9 @@ NAMED_POLYNOMIALS = {
     "professor_h2": theorems.professor_h2,
     "professor_h3": theorems.professor_h3,
 }
+SHANKS_CUBIC = PolyQ.from_coeffs([1, -3, 0, 1])
+# disc 0: (X^3 - 3X + 1)^2 is bad at every prime
+NON_SEPARABLE = {"shanks_cubic_squared": lambda: SHANKS_CUBIC * SHANKS_CUBIC}
 
 
 def oracle_factor_degrees(coeffs, p):
@@ -241,17 +244,73 @@ def test_good_prime_type_sums_to_24():
             assert t.degree == 24
 
 
-@pytest.mark.parametrize("name", sorted(NAMED_POLYNOMIALS))
+@pytest.mark.parametrize("name", sorted(NAMED_POLYNOMIALS) + sorted(NON_SEPARABLE))
 def test_ddf_matches_reference_on_named_polynomials(name):
-    f = NAMED_POLYNOMIALS[name]()
+    # frobenius_type decides squarefreeness from disc f, ddf_cycle_type by
+    # gcd(f, f'); both must agree at every prime, p = 2 and None included
+    f = {**NAMED_POLYNOMIALS, **NON_SEPARABLE}[name]()
     good = 0
     for p in itertools.islice(primes(), 150):
         reduced = reduce_mod_p(f, p)
+        expected = None if reduced is None else ddf_cycle_type(reduced)
+        assert frobenius_type(f, p) == expected, (name, p)
         if reduced is None:
             continue
-        assert ddf_cycle_type(reduced) == reference_ddf(reduced), (name, p)
-        good += 1
-    assert good > 100
+        assert expected == reference_ddf(reduced), (name, p)
+        good += expected is not None
+    if name in NON_SEPARABLE:
+        assert discriminant(f) == 0 and good == 0
+    else:
+        assert good > 100
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda parts: parts[1:],  # one factor dropped
+    lambda parts: (parts[0] - 1, 1) + parts[1:],  # one factor split in two
+], ids=["drop", "split"])
+def test_frobenius_type_refuses_a_type_that_contradicts_stickelberger(monkeypatch, mutate):
+    # at p = 5 revenge_h's type is 9.8.7, so a split changes the parity
+    h = theorems.revenge_h()
+    assert frobenius_type(h, 5) == CycleType((9, 8, 7))
+    ddf = polymod._ddf
+    monkeypatch.setattr(polymod, "_ddf", lambda f, p: CycleType(mutate(ddf(f, p).parts)))
+    with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=5"):
+        frobenius_type(h, 5)
+
+
+def test_frobenius_type_checks_the_gcd_against_disc_at_two(monkeypatch):
+    # X^24 - X - 1 is squarefree mod 2; a disc that claims otherwise is caught
+    h = theorems.revenge_h()
+    assert frobenius_type(h, 2) == CycleType((21, 3))
+    monkeypatch.setattr(polymod, "_discriminant", lambda f: 2 * discriminant(f))
+    with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=2"):
+        frobenius_type(h, 2)
+
+
+@pytest.mark.parametrize("p", [5, 4409])
+@pytest.mark.parametrize("degrees", [(5, 7), (5, 5), (6, 6, 7), (9, 11)],
+                         ids=lambda degrees: ".".join(map(str, degrees)))
+def test_ddf_early_stop_against_sympy(p, degrees):
+    # each product's degrees fall in one DDF batch; a lone factor of that
+    # batch takes the early stop, and equal degrees must not, else (5, 5)
+    # would read as one factor of degree 10
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(f"{p}:{degrees}")
+    factors: list[list[int]] = []
+    for d in degrees:
+        while True:
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            if g not in factors and sympy.Poly(g[::-1], x, modulus=p).is_irreducible:
+                factors.append(g)
+                break
+    product = [1]
+    for g in factors:
+        product = schoolbook_mul(product, g, p)
+    f = PolyFp(p, tuple(product))
+    assert ddf_cycle_type(f) == CycleType(degrees)
+    _, found = sympy.Poly(product[::-1], x, modulus=p).factor_list()
+    assert sorted(g.degree() for g, _ in found) == sorted(degrees)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 23, 4409, 20011, 2 ** 31 - 1])

@@ -121,3 +121,13 @@ def test_probe_counts_one_pool_per_call_with_misses_at_jobs_2(tmp_path):
     assert runs["2"][1]["evidence.pool"] == 4
     assert "evidence.pool" not in runs["1"][1]
     assert runs["2"][0] == runs["1"][0]
+
+
+def test_micro_benchmark_oracles_report_no_problems(tmp_path):
+    # micro.py checks each timed kernel against an independent oracle
+    # (Stickelberger sign, sympy's factor_list, powmod against repeated
+    # multiplication); a wrong kernel shows up in "problems"
+    out = tmp_path / "micro.json"
+    subprocess.run([sys.executable, str(ROOT / "benchmarks" / "micro.py"), "--seed", "1",
+                    "--out", str(out)], cwd=ROOT, capture_output=True, text=True, check=True)
+    assert json.loads(out.read_text())["problems"] == []
