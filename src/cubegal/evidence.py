@@ -272,7 +272,10 @@ class SymmetricCertificate:
         """Recompute every witness, and the discriminant, from scratch."""
         n = f.degree
         witnesses = (self.transitive_prime, self.primitive_prime, self.jordan_prime)
-        if n != self.degree or not all(is_prime(p) for p in witnesses):
+        try:
+            if n != self.degree or not all(is_prime(p) for p in witnesses):
+                return False
+        except ValueError:  # a witness past the deterministic primality test
             return False
         t1 = frobenius_type(f, self.transitive_prime)
         if t1 is None or t1.parts != (n,):

@@ -11,14 +11,18 @@ slots of one Python int (Kronecker substitution; Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", 2009),
 so a product of two residues is one bignum multiply in CPython's C code.
 The product's high slots are folded back by precomputed packed rows
-X^(n+k) mod f, each scaled by a small int and added.  Per prime, DDF
-computes X^p mod f once by square-and-multiply, then the rows X^(ip)
-mod f of the Frobenius (Berlekamp Q-) matrix, and gets every later
-X^(p^d) as a linear combination of those rows (von zur Gathen &
-Gerhard, "Modern Computer Algebra", 14.2).  The gcds and exact divisions
-run on plain lists through one in-place long-division loop, `_reduce`.
-A batch of degrees shares one gcd, and a batch whose factors are down
-to one irreducible factor stops without further gcds.
+X^(n+k) mod f, each scaled by a small int and added; a row whose
+predecessor has top coefficient 0 is that row shifted by one slot.  Per
+prime, DDF computes X^p mod f once by squaring: the leading bits of p
+that keep the exponent below n give a monomial for free, and each
+multiply by X is a one-slot shift of a square before its fold.  It then
+builds the rows X^(ip) mod f of the Frobenius (Berlekamp Q-) matrix, and
+gets every later X^(p^d) as a linear combination of those rows (von zur
+Gathen & Gerhard, "Modern Computer Algebra", 14.2).  The gcds and exact
+divisions run on plain lists through one long-division loop, `_reduce`,
+which reduces mod p once per division.  A batch of degrees shares one
+gcd, and refining it stops, with no further gcd, as soon as the degree
+of what is left admits only one multiset of factor degrees.
 
 `frobenius_type` reads a rational polynomial at a prime, and decides
 squarefreeness from disc f mod p (computed once per polynomial) rather
@@ -45,14 +49,25 @@ from operator import mul
 from .perm import CycleType
 from .polyq import PolyQ, discriminant
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24
-# (Sorenson & Webster); far beyond any modulus used here.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first k prime bases decide every
+# n < _PSI[k - 1], where _PSI[k - 1] is the least strong pseudoprime to
+# all of them (OEIS A014233; Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017).  The 13 bases decide every
+# n < 3.3 * 10^24, far beyond any modulus used here.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 # degrees whose w - X share one gcd with f* in distinct-degree factorization
 _DDF_BATCH = 4
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < 3317044064679887385961981 (the least
+    strong pseudoprime to the 13 bases); larger n raise ValueError."""
+    if n >= _PSI[-1]:
+        raise ValueError(f"{n} is too large for a deterministic primality test")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -63,16 +78,17 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a, psi in zip(_MR_BASES, _PSI):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(r - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:  # the bases so far decide n
+            return True
     return True
 
 
@@ -120,13 +136,14 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _reduce(r: list[int], b: list[int], p: int, quotient: list[int] | None = None) -> list[int]:
-    """r mod b, computed in r itself, which it returns trimmed; b is
-    trimmed and nonzero, and both hold residues below p.
+    """r mod b, trimmed, with residues below p; r may hold any ints and is
+    used up, b is trimmed and nonzero with residues below p.
 
     The one long-division loop: each step pops the top coefficient of r
-    and subtracts its multiple of b from the coefficients below it.  The
-    quotient's coefficients, highest first, are appended to `quotient`
-    when given."""
+    and subtracts its multiple of b from the coefficients below it,
+    without taking them mod p; the remainder is reduced once, at the end.
+    The quotient's coefficients, highest first, are appended to
+    `quotient` when given."""
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     below = range(db)
@@ -137,8 +154,8 @@ def _reduce(r: list[int], b: list[int], p: int, quotient: list[int] | None = Non
         if factor:
             k = len(r) - db
             for i in below:
-                r[k + i] = (r[k + i] - factor * b[i]) % p
-    return _trim(r)
+                r[k + i] -= factor * b[i]
+    return _trim([c % p for c in r])
 
 
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -147,7 +164,7 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q: list[int] = []
-    r = _reduce([c % p for c in a], b, p, q)
+    r = _reduce(list(a), b, p, q)
     q.reverse()
     return _trim(q), r
 
@@ -166,7 +183,7 @@ def _divexact(a: list[int], b: list[int], p: int) -> list[int]:
 def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd of a and b, both trimmed with residues below p.
 
-    Euclid on two working copies, each remainder computed in place."""
+    Euclid on two working copies, which `_reduce` uses up."""
     a, b = list(a), list(b)
     while b:
         a, b = b, _reduce(a, b, p)
@@ -190,11 +207,19 @@ class _Residues:
     A residue is a list of n coefficients below p, ascending; packed, its
     coefficient k sits in slot k, `width` bytes wide.  The product of two
     packed residues is one bignum multiply whose slot k holds the sum of
-    the a_i * b_j with i + j = k.  `mulmod` folds the high slots of such a
-    product back with the packed rows X^(n+k) mod f: each high slot, taken
-    mod p, scales its row, and the scaled rows are added to the low n
-    slots.  A slot then holds a sum of at most 2n products below p^2, and
-    is wide enough for that, so no slot carries into the next.
+    the a_i * b_j with i + j = k.  `fold` reduces such a product mod f
+    with the packed rows X^(n+k) mod f, k < n: each high slot, taken mod
+    p, scales its row, and the scaled rows are added to the low n slots.
+    A slot then holds a sum of at most 2n products below p^2, and is wide
+    enough for that, so no slot carries into the next.
+
+    The rows are built once per (f, p).  X^(n+k+1) mod f is X^(n+k) mod f
+    times X: its slots shifted up by one, plus its top coefficient times
+    X^n mod f.  When that top coefficient is 0 the row is the previous
+    packed row shifted by one slot, with no pass mod p and no pack; for a
+    sparse f, such as a trinomial or q(X^2), most rows are such shifts.
+    The last row, X^(2n-1), serves `x_power`, whose squares are shifted by
+    one slot to multiply by X.
     """
 
     def __init__(self, f: list[int], p: int):
@@ -207,15 +232,23 @@ class _Residues:
         else:
             self.codec = None
         self.p, self.n, self.width = p, n, width
-        self.shift = 8 * width * n  # bits in n slots
+        self.slot = 8 * width  # bits in one slot
+        self.shift = self.slot * n  # bits in n slots
         self.low = (1 << self.shift) - 1
-        # X^n, ..., X^(2n-2) mod f: the high slots of a product of residues
+        # X^n, ..., X^(2n-1) mod f: the high slots of a product of residues,
+        # and of a square shifted by one slot
         row = x_n = [-c % p for c in f[:-1]]
-        self.rows = [self.pack(row)]
-        for _ in range(n - 2):
+        packed = self.pack(row)
+        self.rows = [packed]
+        for _ in range(n - 1):
             top = row[-1]
-            row = [(top * c + r) % p for c, r in zip(x_n, [0] + row[:-1])]
-            self.rows.append(self.pack(row))
+            if top:
+                row = [(top * c + r) % p for c, r in zip(x_n, [0] + row[:-1])]
+                packed = self.pack(row)
+            else:
+                row = [0] + row[:-1]
+                packed <<= self.slot
+            self.rows.append(packed)
 
     def pack(self, a: list[int]) -> int:
         if self.codec is not None:
@@ -234,8 +267,9 @@ class _Residues:
         return [s % p for s in slots]
 
     def fold(self, c: int) -> list[int]:
-        """The residue mod f of c, a product of two packed residues: its
-        high slots folded back onto the low ones."""
+        """The residue mod f of c, a product of two packed residues or
+        such a square shifted by one slot: its n high slots folded back
+        onto the low ones."""
         high = self.unpack_mod(c >> self.shift)
         return self.unpack_mod(sum(map(mul, high, self.rows), c & self.low))
 
@@ -253,6 +287,31 @@ class _Residues:
             if bit == "1":
                 r = self.fold(self.pack(r) * base)
             v = self.pack(r)
+        return r
+
+    def x_power(self, e: int) -> list[int]:
+        """X^e mod f, for e >= 0, by left-to-right squaring.
+
+        The longest leading run of e's bits whose value k stays below n
+        gives the monomial X^k, packed as one shifted 1, with no work.
+        Each further bit squares, and a 1 bit multiplies the square by X
+        as a one-slot shift before its one fold, so X^e costs one fold per
+        bit past that prefix: about 6 for p near 1,000 and n = 24, against
+        about 15 for square-and-multiply."""
+        n, slot = self.n, self.slot
+        rest = e.bit_length()  # the bits of e not yet applied
+        while rest and e >> (rest - 1) < n:
+            rest -= 1
+        r = [0] * n
+        r[e >> rest] = 1
+        v = 1 << (e >> rest) * slot  # X^(e >> rest), packed
+        for i in reversed(range(rest)):
+            c = v * v
+            if e >> i & 1:
+                c <<= slot
+            r = self.fold(c)
+            if i:
+                v = self.pack(r)
         return r
 
     def frobenius(self, xp: list[int]) -> list[int]:
@@ -319,6 +378,21 @@ def powmod(base: PolyFp, e: int, modpoly: PolyFp) -> PolyFp:
     return PolyFp(p, tuple(_Residues(f, p).power(a, e)))
 
 
+@functools.lru_cache(maxsize=1024)
+def _settle(k: int, lo: int, hi: int) -> tuple[int, ...] | None:
+    """The only multiset of parts in lo..hi that sums to k, largest part
+    first, or None when there are none or several.
+
+    Coin-change counting: after the parts lo..part, sums[s] holds the
+    multisets of those parts that sum to s, at most two of them, which is
+    enough to tell one from several."""
+    sums: list[list[tuple[int, ...]]] = [[()]] + [[] for _ in range(k)]
+    for part in range(lo, hi + 1):
+        for s in range(part, k + 1):
+            sums[s] = (sums[s] + [m + (part,) for m in sums[s - part]])[:2]
+    return sums[k][0][::-1] if len(sums[k]) == 1 else None
+
+
 def _ddf(f: list[int], p: int) -> CycleType:
     """Irreducible-factor degrees of f, monic and squarefree of degree
     n >= 1 over F_p: the DDF body that ddf_cycle_type and frobenius_type
@@ -327,7 +401,8 @@ def _ddf(f: list[int], p: int) -> CycleType:
     Let f* be what is left of f once its factors of degree < d are
     removed; its factors of degree d are those of gcd(X^(p^d) - X, f*),
     and once 2d exceeds deg f*, f* is irreducible (or 1).  X^p mod f is
-    computed once, by square-and-multiply on packed residues.  The rows
+    computed once, by `_Residues.x_power`: a monomial for the leading
+    bits of p, then one fold per further bit.  The rows
     X^(ip) mod f, i < n, of the Frobenius matrix Q then take
     w = X^(p^(d-1)) to w^p = w(X^p) as a linear combination of packed
     rows, with no further powering.  Powers stay reduced mod f itself,
@@ -337,15 +412,19 @@ def _ddf(f: list[int], p: int) -> CycleType:
     product of the w - X tells whether any of them has factors, and only
     then does each w - X get its own gcd with g, in increasing d.
     Factors of degree dividing an earlier d of the batch are gone from g
-    by then, so each factor counts at its own degree.  Early stop: when
-    the refinement reaches degree e and g is nontrivial with deg g < 2e,
-    every factor left in g has degree >= e, so g is one irreducible
-    factor, recorded without further gcds.
+    by then, so each factor counts at its own degree.  Settle rule: when
+    the refinement reaches degree e, every factor left in g has a degree
+    in e..d, d the batch's last degree.  If exactly one multiset of such
+    degrees sums to deg g, those are the degrees of g's factors, recorded
+    without further gcds.  With deg g < 2e that multiset is {deg g}, one
+    irreducible factor; with deg g = 0 it is empty.  Two multisets with
+    the same sum, such as {6, 6} and {5, 7}, have the same parity too, so
+    Stickelberger's check could not tell them apart: the rule must see
+    that the multiset is unique.
 
     f is squarefree, so its factors are distinct, and multiplicity in
     the returned type is the count of factors of that degree.
     """
-    n = len(f) - 1
     residues = _Residues(f, p)
     fstar = f
     parts: list[int] = []
@@ -357,7 +436,7 @@ def _ddf(f: list[int], p: int) -> CycleType:
         while d < last:
             d += 1
             if w is None:
-                w = residues.power([0, 1] + [0] * (n - 2), p)
+                w = residues.x_power(p)
             else:
                 if q is None:
                     q = residues.frobenius(w)  # w is still X^p here
@@ -370,9 +449,10 @@ def _ddf(f: list[int], p: int) -> CycleType:
             product = residues.mulmod(product, delta)
         g = _gcd(_trim(product), fstar, p)
         for e, delta in batch:
-            if len(g) - 1 < 2 * e:  # g is 1 or one irreducible factor
-                if len(g) > 1:
-                    parts.append(len(g) - 1)
+            settled = _settle(len(g) - 1, e, d)
+            if settled is not None:  # the degrees of g's factors are known
+                parts.extend(settled)
+                if settled:
                     fstar = _divexact(fstar, g, p)
                 break
             factors = _gcd(_trim(delta), g, p)
@@ -390,7 +470,7 @@ def ddf_cycle_type(f: PolyFp):
     not squarefree.
 
     Squarefreeness is decided by gcd(f, f'); the degrees then come from
-    the DDF body `_ddf`, batched and with its early stop.
+    the DDF body `_ddf`, batched and with its settle rule.
     """
     if f.is_zero:
         raise ValueError("zero polynomial")

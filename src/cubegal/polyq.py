@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -34,7 +35,7 @@ def _coerce(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):  # JSON true is no coefficient
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_exact(value)
     raise TypeError(f"cannot use {type(value).__name__} as a rational coefficient")
 
 
@@ -266,6 +267,23 @@ def exact_str(value: Fraction) -> str:
     """
     text = str(Decimal(value.numerator))
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
+_EXACT_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _parse_exact(text: str) -> Fraction:
+    """The inverse of exact_str: "num" or "num/den", the numerator
+    optionally signed, in decimal digits of any length.
+
+    Decimal reads a digit string exactly and converts it to int without
+    the digit limit of int(str).  A zero denominator raises
+    ZeroDivisionError; any other text raises ValueError.
+    """
+    if not _EXACT_TEXT.fullmatch(text):
+        raise ValueError(f"not a rational number: {text[:40]!r}")
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 def poly_to_json(f: PolyQ) -> dict:

@@ -11,7 +11,7 @@ from cubegal import evidence
 from cubegal.cli import build_parser, cli_main
 from cubegal.cubes import GENERATOR_TABLES, cube_model
 from cubegal.perm import parse_cycles, print_cycles
-from cubegal.polyq import PolyQ, discriminant, save_poly, trinomial_poly
+from cubegal.polyq import PolyQ, discriminant, exact_str, save_poly, trinomial_poly
 from cubegal.structure import R3_ORDER
 from cubegal.theorems import revenge_h, rubik_f
 
@@ -216,7 +216,20 @@ def test_disc_prints_discriminants_past_the_digit_limit(tmp_path, capsys):
     assert out.splitlines()[0] == expected
 
 
-_LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
+def test_disc_reads_coefficients_past_the_digit_limit(tmp_path, capsys):
+    # save_poly writes a 5,001-digit constant term in full, and --poly reads
+    # it back without int(str)'s digit limit
+    c = 7 * 10 ** 5000 + 1
+    path = tmp_path / "long.json"
+    save_poly(PolyQ.from_coeffs([c, 0, 1]), path)
+    code, out = run_cli(capsys, "disc", "--poly", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == exact_str(Fraction(-4 * c))  # disc(X^2 + c)
+
+
+# past CPython's default int-string limit: read in full, so only a malformed
+# long coefficient is bad input
+_LONG = "1" * 5000
 
 
 @pytest.mark.parametrize("argv, poly_text", [
@@ -234,7 +247,7 @@ _LONG = "1" * 5000  # past CPython's default int-string limit, kept for input
     (["disc", "--poly", "{poly}"], '{"degree": 3, "coefficients": ["1", "1"]}'),
     (["disc", "--poly", "{poly}"], '{"degree": 2, "coefficients": ["1", "1", "0"]}'),
     (["disc", "--poly", "{poly}"], '{"degree": 0, "coefficients": ["5"]}'),
-    (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["%s", "1"]}' % _LONG),
+    (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": ["%se5", "1"]}' % _LONG),
     (["disc", "--poly", "{poly}", "--square-class-vs", "seven"],
      '{"degree": 1, "coefficients": ["1", "1"]}'),
     # well-formed, but refused by the evidence layer: degree < 8 for the

@@ -14,6 +14,7 @@ from cubegal.polymod import primes
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.structure import enumerate_restricted
 from cubegal.theorems import (revenge_h, rubik_f, rubik_g, rubik_g_resolvent)
+from test_polymod import PSI_12, PSI_13
 
 
 def test_predict_validation():
@@ -156,9 +157,11 @@ def test_certify_revalidation_rejects_tampering():
     # is not prime
     assert not replace(cert, jordan_prime=31, jordan_cycle=23).revalidate(h)
     assert not replace(cert, jordan_prime=5, jordan_cycle=9).revalidate(h)
-    # a witness that is not a prime is no witness, and revalidation says so
+    # a witness that is not a prime is no witness, and revalidation says so:
+    # psi12, the least strong pseudoprime to the bases 2..37, included, and
+    # psi13, past what the deterministic primality test decides
     for field in ("transitive_prime", "primitive_prime", "jordan_prime"):
-        for not_prime in (9, 1, -5):
+        for not_prime in (9, 1, -5, PSI_12, PSI_13):
             assert not replace(cert, **{field: not_prime}).revalidate(h), (field, not_prime)
 
 

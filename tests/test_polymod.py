@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 
 from cubegal import polymod, theorems
 from cubegal.perm import CycleType
-from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _trim,
-                             ddf_cycle_type, frobenius_type, is_prime, legendre,
+from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _Residues,
+                             _settle, _trim, ddf_cycle_type, frobenius_type, is_prime, legendre,
                              powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
@@ -107,6 +108,65 @@ def test_is_prime():
     assert not is_prime(1)
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 32 + 1)
+
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (OEIS A014233), k = 1..13, each with its factorization
+PSI = (
+    (2047, (23, 89)),
+    (1373653, (829, 1657)),
+    (25326001, (2251, 11251)),
+    (3215031751, (151, 751, 28351)),
+    (2152302898747, (6763, 10627, 29947)),
+    (3474749660383, (1303, 16927, 157543)),
+    (341550071728321, (10670053, 32010157)),
+    (341550071728321, (10670053, 32010157)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (3825123056546413051, (149491, 747451, 34233211)),
+    (318665857834031151167461, (399165290221, 798330580441)),
+    (3317044064679887385961981, (1287836182261, 2575672364521)),
+)
+PSI_12, PSI_13 = PSI[11][0], PSI[12][0]
+
+
+def strong_probable_prime(n, a):
+    """The Miller-Rabin test of odd n > 2 to the base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** i, n) == n - 1 for i in range(1, r))
+
+
+def test_is_prime_agrees_with_a_sieve():
+    n = 2 * 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, int(n ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, n, i)))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_refuses_the_least_strong_pseudoprimes(k):
+    # psi_k passes the test to its first k bases, so only base k + 1 or a
+    # later one can show it composite
+    psi, factors = PSI[k - 1]
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    assert math.prod(factors) == psi
+    assert all(strong_probable_prime(psi, a) for a in bases[:k])
+    assert not is_prime(psi)
+    assert all(is_prime(f) for f in factors)
+
+
+def test_is_prime_raises_past_its_witness_set():
+    # psi13 passes all 13 bases; nothing at or above it is decided
+    assert all(strong_probable_prime(PSI_13, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+    for n in (PSI_13, PSI_13 + 1, 2 ** 100):
+        with pytest.raises(ValueError):
+            is_prime(n)
+    assert not is_prime(PSI_13 - 1)  # decided: even
 
 
 def test_prime_stream_deterministic():
@@ -291,9 +351,9 @@ def test_frobenius_type_checks_the_gcd_against_disc_at_two(monkeypatch):
 @pytest.mark.parametrize("degrees", [(5, 7), (5, 5), (6, 6, 7), (9, 11)],
                          ids=lambda degrees: ".".join(map(str, degrees)))
 def test_ddf_early_stop_against_sympy(p, degrees):
-    # each product's degrees fall in one DDF batch; a lone factor of that
-    # batch takes the early stop, and equal degrees must not, else (5, 5)
-    # would read as one factor of degree 10
+    # each product's degrees fall in one DDF batch, 5..8 or 9..12; the
+    # settle rule may record (5, 5) without a gcd, but as two factors, not
+    # one of degree 10, and must refine 12 = 5 + 7 = 6 + 6 by gcds
     sympy = pytest.importorskip("sympy")
     x = sympy.symbols("x")
     rng = random.Random(f"{p}:{degrees}")
@@ -311,6 +371,41 @@ def test_ddf_early_stop_against_sympy(p, degrees):
     assert ddf_cycle_type(f) == CycleType(degrees)
     _, found = sympy.Poly(product[::-1], x, modulus=p).factor_list()
     assert sorted(g.degree() for g, _ in found) == sorted(degrees)
+
+
+def multisets(k, lo, hi):
+    """Every multiset of parts in lo..hi that sums to k, largest part first,
+    by depth-first search."""
+    if k == 0:
+        return [()]
+    return [(part,) + rest for part in range(min(k, hi), lo - 1, -1)
+            for rest in multisets(k - part, lo, part)]
+
+
+def test_settle_rule_against_enumeration():
+    for lo in range(1, 13):
+        for hi in range(lo, 13):
+            for k in range(25):
+                found = multisets(k, lo, hi)
+                assert _settle(k, lo, hi) == (found[0] if len(found) == 1 else None), (k, lo, hi)
+
+
+def schoolbook_row(f, k, p):
+    """X^(n+k) mod f by long division."""
+    n = len(f) - 1
+    row = _rem([0] * (n + k) + [1], f, p)
+    return row + [0] * (n - len(row))
+
+
+@pytest.mark.parametrize("name", ["revenge_h", "rubik_g", "rubik_f"])
+@pytest.mark.parametrize("p", [13, 1087, 4409, 2 ** 31 - 1])
+def test_fold_rows_are_the_powers_of_x(name, p):
+    # a trinomial and q(X^2) take most rows as shifts, rubik_f few
+    f = list(reduce_mod_p(NAMED_POLYNOMIALS[name](), p).monic().coeffs)
+    residues = _Residues(f, p)
+    assert len(residues.rows) == len(f) - 1
+    for k, row in enumerate(residues.rows):
+        assert residues.unpack_mod(row) == schoolbook_row(f, k, p), (name, p, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 23, 4409, 20011, 2 ** 31 - 1])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubegal.polymod import (PolyFp, _divexact, _divmod, _Residues, _rem, _trim,
                              ddf_cycle_type, legendre, powmod)
-from test_polymod import reference_ddf, reference_powmod, schoolbook_mul
+from test_polymod import reference_ddf, reference_powmod, schoolbook_mul, schoolbook_row
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
 # tiny, small, benchmark-sized and word-sized primes; 2^31 - 1 needs
@@ -73,6 +73,29 @@ def test_powmod_with_any_modulus_matches_schoolbook(case, e):
 
 
 @DETERMINISTIC
+@given(modulus_and_residues(0), st.data())
+def test_x_power_matches_schoolbook(case, data):
+    # the monomial prefix alone (e < n), its edge (n - 1, n), and long tails
+    p, f, _ = case
+    f = monic(f, p)
+    n = len(f) - 1
+    e = data.draw(st.one_of(st.integers(0, n - 1), st.sampled_from([n - 1, n, n + 1]),
+                            st.integers(0, 10 ** 6)))
+    expected = reference_powmod([0, 1], e, f, p)
+    assert _Residues(f, p).x_power(e) == expected + [0] * (n - len(expected))
+
+
+@DETERMINISTIC
+@given(modulus_and_residues(0))
+def test_fold_rows_of_any_modulus(case):
+    p, f, _ = case
+    f = monic(f, p)
+    residues = _Residues(f, p)
+    assert [residues.unpack_mod(row) for row in residues.rows] == \
+        [schoolbook_row(f, k, p) for k in range(len(f) - 1)]
+
+
+@DETERMINISTIC
 @given(modulus_and_residues(1))
 def test_frobenius_step_is_the_p_th_power(case):
     p, f, (w,) = case
@@ -81,7 +104,7 @@ def test_frobenius_step_is_the_p_th_power(case):
     if n < 2:
         return  # DDF never applies Q below degree 2
     residues = _Residues(f, p)
-    xp = residues.power([0, 1] + [0] * (n - 2), p)
+    xp = residues.x_power(p)
     step = residues.apply(w, residues.frobenius(xp))
     assert PolyFp(p, tuple(step)) == powmod(PolyFp(p, tuple(w)), p, PolyFp(p, tuple(f)))
 

@@ -224,6 +224,21 @@ def test_exact_text_has_no_digit_cap():
     assert doc["coefficients"] == ["7" + "0" * 4999, "1"]
 
 
+def test_json_round_trip_past_the_digit_limit(tmp_path):
+    # save_poly writes any length; poly_from_json must read it all back
+    f = PolyQ.from_coeffs([Fraction(-(10 ** 4999 + 7), 3), 1])
+    path = tmp_path / "long.json"
+    save_poly(f, path)
+    assert load_poly(path) == f
+
+
+@pytest.mark.parametrize("text", ["1e5", "NaN", "1_0", "1.5", " 3", "3/-4", "/3", "3/", "", "\u0663"])
+def test_json_coefficient_must_be_exact_digits(text):
+    # only what exact_str writes: digits, a sign on the numerator, one "/"
+    with pytest.raises(ValueError, match="bad coefficient"):
+        poly_from_json({"degree": 1, "coefficients": [text, "1"]})
+
+
 def test_json_degree_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError):
         poly_from_json({"degree": 2, "coefficients": ["1", "1"]})
