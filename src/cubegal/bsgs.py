@@ -12,13 +12,26 @@ proved: a membership test that answers yes (the element is a product of
 transversal words), and the order as a lower bound (the product of the
 basic orbit sizes counts distinct group elements).  The full criterion,
 over the union of the generators at levels >= i, is checked for the
-three cube chains by `tests/test_bsgs.py`.
+three cube chains (and a second seed for R3 and R4) by
+`tests/test_bsgs.py`.
 
 All orders are exact arbitrary-precision integers.  The chain works on
-the permutations' own 0-based image tables, 256-byte ``bytes`` padded
-with the identity (see `perm`), so nothing is converted per call:
-``q.translate(p)`` composes p o q, ``bytes.maketrans(p, IDENT256)``
-inverts p, and equality with ``IDENT256`` tests for the identity.
+0-based image tables in ``bytes``, and each byte string has one role
+and one length:
+
+- tables: the generators and the inverse transversal elements are
+  256-byte tables padded with the identity (see `perm`); apart from
+  reading point images off them, they are only ever the argument of
+  ``translate``;
+- data: the transversal elements, sift inputs and residues, and the
+  Schreier generators are exactly ``degree`` bytes, and are only ever
+  translated, so a composition copies ``degree`` bytes, not 256.
+
+``d.translate(t)`` is the data of t o d, ``bytes.maketrans(d, ident)``
+is the table of d's inverse, and equality with ``ident`` (the identity
+data, ``IDENT256[:degree]``) tests for the identity.  A residue is
+padded once, when `_add_strong` adjoins it; input generators and
+sampler elements are cut to ``degree`` once, when they are sifted.
 """
 
 from __future__ import annotations
@@ -34,12 +47,15 @@ _CLEAN_SIFTS = 20
 
 
 class _Level:
+    """One level of the chain: base point, generator tables, transversal
+    data and inverse transversal tables; `ident` is the identity data."""
+
     __slots__ = ("point", "gens", "trans", "invtrans")
 
-    def __init__(self, point: int, gens=()):
+    def __init__(self, point: int, ident: bytes, gens=()):
         self.point = point
         self.gens: list[bytes] = list(gens)
-        self.trans: dict[int, bytes] = {point: IDENT256}
+        self.trans: dict[int, bytes] = {point: ident}
         self.invtrans: dict[int, bytes] = {point: IDENT256}
 
 
@@ -91,6 +107,7 @@ class PermutationGroup:
             raise ValueError("degree mismatch among generators")
         self.degree = degree
         self.generators: list[Permutation] = gens
+        self._ident = IDENT256[:degree]
         self._levels: list[_Level] = []
         self._build(seed)
         self._order = 1
@@ -124,8 +141,8 @@ class PermutationGroup:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        residue, _ = self._sift(p._img)
-        return residue == IDENT256
+        residue, _ = self._sift(p.raw)
+        return residue == self._ident
 
     def random_element(self, seed: int) -> Permutation:
         """One group element; equal seeds return equal elements."""
@@ -137,11 +154,13 @@ class PermutationGroup:
     # -- chain internals ----------------------------------------------------
 
     def _sift(self, p: bytes, start: int = 0):
-        """Reduce p through levels start.. of the chain; returns (residue,
-        level it stuck at).
+        """Reduce the data p (``degree`` bytes) through levels start.. of
+        the chain; returns (residue, level it stuck at), the residue as
+        data of the same length.
 
-        A residue equal to the identity means membership; a permutation
-        moving a point outside some basic orbit sticks at that level.
+        A residue equal to the identity data means membership; a
+        permutation moving a point outside some basic orbit sticks at
+        that level.
         """
         levels = self._levels
         for idx in range(start, len(levels)):
@@ -167,6 +186,7 @@ class PermutationGroup:
         """
         trans = lvl.trans
         invtrans = lvl.invtrans
+        ident = trans[lvl.point]
         frontier = list(trans)
         gens = lvl.gens
         round_gens = gens if new is None else (new,)
@@ -180,7 +200,7 @@ class PermutationGroup:
                     if gamma not in trans:
                         w = u.translate(s)
                         trans[gamma] = w
-                        invtrans[gamma] = bytes.maketrans(w, IDENT256)
+                        invtrans[gamma] = bytes.maketrans(w, ident)
                         fresh.append(gamma)
                         used.setdefault(s)
             frontier = fresh
@@ -188,7 +208,8 @@ class PermutationGroup:
         return list(used)
 
     def _add_strong(self, g: bytes, stick: int):
-        """Adjoin the sift residue g to levels 0..stick.
+        """Adjoin the sift residue g, padded to a table here, to levels
+        0..stick.
 
         g fixes every base point before `stick`, so it belongs to each of
         those stabilizers.  The level sets stay nested only until `_prune`
@@ -196,21 +217,22 @@ class PermutationGroup:
         point a new level is opened at its first moved point
         (first-moved-point base heuristic).
         """
+        g += IDENT256[self.degree:]
         if stick == len(self._levels):
             point = next(i for i, x in enumerate(g) if x != i)
-            self._levels.append(_Level(point))
+            self._levels.append(_Level(point, self._ident))
         for i in range(stick + 1):
             lvl = self._levels[i]
             lvl.gens.append(g)
             self._extend_orbit(lvl, g)
 
     def _adjoin(self, gens) -> bool:
-        """Sift each of gens and adjoin every nontrivial residue; returns
-        whether the chain grew."""
+        """Sift each of the data gens and adjoin every nontrivial residue;
+        returns whether the chain grew."""
         grew = False
         for g in gens:
             residue, stick = self._sift(g)
-            if residue != IDENT256:
+            if residue != self._ident:
                 self._add_strong(residue, stick)
                 grew = True
         return grew
@@ -219,14 +241,14 @@ class PermutationGroup:
         inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
         if not inputs:
             return  # trivial group: empty chain, order 1
-        raw_gens = [g._img for g in inputs]
+        raw_gens = [g.raw for g in inputs]
         while self._adjoin(raw_gens):
             pass
         sampler = ProductReplacementSampler(inputs, seed)
         clean = 0
         while clean < _CLEAN_SIFTS:
-            clean = 0 if self._adjoin((sampler._step(),)) else clean + 1
-        self._prune(set(raw_gens))
+            clean = 0 if self._adjoin((sampler._step()[:self.degree],)) else clean + 1
+        self._prune({g._img for g in inputs})
         # verify, then make sure the checked group is still the group the
         # inputs generate (pruning could in principle drop span-essential
         # generators); every re-insertion grows a basic orbit, so this loop
@@ -248,12 +270,12 @@ class PermutationGroup:
         the group they generate.
         """
         for depth, lvl in enumerate(self._levels):
-            kept = self._extend_orbit(_Level(lvl.point, lvl.gens))
+            kept = self._extend_orbit(_Level(lvl.point, self._ident, lvl.gens))
             if depth == 0:
                 for g in lvl.gens:
                     if g in protected and g not in kept:
                         kept.append(g)
-            pruned = _Level(lvl.point, kept)
+            pruned = _Level(lvl.point, self._ident, kept)
             self._extend_orbit(pruned)
             if pruned.trans.keys() != lvl.trans.keys():
                 raise AssertionError("pruned generators no longer span the basic orbit")
@@ -274,7 +296,7 @@ class PermutationGroup:
                 if w == lvl.trans[gamma]:
                     continue
                 residue, stick = self._sift(w.translate(lvl.invtrans[gamma]), i + 1)
-                if stick < len(self._levels) or residue != IDENT256:
+                if stick < len(self._levels) or residue != self._ident:
                     return residue, stick
         return None
 

@@ -13,9 +13,11 @@ labels 1..144 of the cube models).  The internal image table is
 whose entries past the degree are the identity (``IDENT256``).  Byte
 operations implemented in C then do the work: ``q.translate(p)`` is the
 table of p o q, ``bytes.maketrans(p, IDENT256)`` is the table of p's
-inverse, and equality with ``IDENT256`` is the identity test.  The
-group engine (``bsgs``) works on these padded tables directly.
+inverse, and equality with ``IDENT256`` is the identity test.
 ``Permutation.raw`` gives the exact-length table, ``bytes`` of length n.
+The group engine (``bsgs``) passes padded tables only as the argument
+of ``translate``; what it translates is exact-length (``raw``), so each
+composition there copies n bytes, not 256.
 
 ``Permutation.cycles`` is the one walk along a permutation's cycles:
 the cycle type, sign, order and canonical cycle string are all read off

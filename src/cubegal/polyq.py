@@ -51,12 +51,23 @@ class PolyQ:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         # the dataclass hash, computed once: polynomials key the Frobenius
-        # cache, and rehashing 25 Fractions per lookup is costly.  Fraction
-        # and tuple hashes are not randomized, so the value survives pickling.
+        # and discriminant caches, and rehashing 25 Fractions per lookup is
+        # costly.  Fraction and tuple hashes are not randomized, so the value
+        # survives pickling.
         object.__setattr__(self, "_hash", hash((self.coeffs,)))
+        # equality compares numerators and denominators as one flat int
+        # tuple: a pool worker's unpickled key is a separate object, and
+        # Fraction.__eq__ on each coefficient costs about 40x more
+        key = tuple(x for c in cs for x in (c.numerator, c.denominator))
+        object.__setattr__(self, "_key", key)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PolyQ":

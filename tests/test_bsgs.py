@@ -4,7 +4,7 @@ from math import factorial, lcm
 import pytest
 
 from cubegal.bsgs import PermutationGroup, ProductReplacementSampler, normal_closure
-from cubegal.perm import Permutation, parse_cycles
+from cubegal.perm import IDENT256, Permutation, parse_cycles
 
 
 def s_n_generators(n):
@@ -44,7 +44,7 @@ def test_orbit_extension_by_a_new_generator_matches_a_full_walk():
         support = rng.sample(range(n), rng.randrange(2, n + 1))
         old = [_random_on(rng, n, support) for _ in range(rng.randrange(0, 3))]
         new = _random_on(rng, n, range(n))
-        walked = [_Level(support[0], old), _Level(support[0], old)]
+        walked = [_Level(support[0], IDENT256[:n], old) for _ in range(2)]
         for lvl in walked:
             group._extend_orbit(lvl)
             lvl.gens.append(new)
@@ -70,8 +70,9 @@ def test_order_equals_product_of_basic_orbits():
     assert prod == g.order()
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_cube_chains_meet_the_nested_schreier_criterion(n):
+@pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (5, 1), (3, 4242), (4, 4242)],
+                         ids=["3", "4", "5", "3-seed4242", "4-seed4242"])
+def test_cube_chains_meet_the_nested_schreier_criterion(n, seed):
     # _prune rebuilds every level from its own orbit walk, so a deeper level
     # may hold generators that the level above lacks, and _check_level(i)
     # covers only level i's own generators.  The textbook criterion takes,
@@ -81,8 +82,8 @@ def test_cube_chains_meet_the_nested_schreier_criterion(n):
     # through the levels below.  Bottom up, <T_i> is then the product of
     # the transversals from level i on, so the order is proved.
     from cubegal.cubes import cube_model
-    from cubegal.perm import IDENT256
-    group = cube_model(n).group(seed=1)
+    group = cube_model(n).group(seed=seed)
+    ident = IDENT256[:group.degree]
     levels = group._levels
     sifts, failures = 0, []
     for i, lvl in enumerate(levels):
@@ -100,10 +101,49 @@ def test_cube_chains_meet_the_nested_schreier_criterion(n):
                     continue
                 sifts += 1
                 residue, stick = group._sift(w.translate(lvl.invtrans[gamma]), i + 1)
-                if stick < len(levels) or residue != IDENT256:
+                if stick < len(levels) or residue != ident:
                     failures.append((i, "sift", delta))
     assert failures == []
     assert sifts > 0
+
+
+def _representation_cases():
+    from cubegal.cubes import cube_model
+    for n in (3, 4, 5):
+        yield pytest.param(lambda n=n: cube_model(n).group(seed=1), id=f"cube{n}")
+    yield pytest.param(lambda: PermutationGroup([parse_cycles("(1 2)", 2)]), id="degree2")
+    # data and tables have the same length at degree 256
+    yield pytest.param(lambda: PermutationGroup([parse_cycles("(1 256)", 256),
+                                                 parse_cycles("(1 2 3 4 5 6 7 8)", 256)]),
+                       id="degree256")
+
+
+@pytest.mark.parametrize("build", _representation_cases())
+def test_chain_data_is_exact_length_and_tables_are_padded(build):
+    # transversal elements and sift residues are data of `degree` bytes;
+    # generators and inverse transversal elements are 256-byte tables that
+    # are the identity past the degree
+    group = build()
+    n = group.degree
+    ident = IDENT256[:n]
+    assert group._levels
+    for lvl in group._levels:
+        for g in lvl.gens:
+            assert len(g) == 256 and g[n:] == IDENT256[n:]
+        assert lvl.trans.keys() == lvl.invtrans.keys()
+        for gamma, u in lvl.trans.items():
+            inv = lvl.invtrans[gamma]
+            assert len(u) == n and u[lvl.point] == gamma
+            assert len(inv) == 256 and inv[n:] == IDENT256[n:]
+            assert u.translate(inv) == ident
+    sampler = group.sampler(5)
+    probes = [g.raw for g in group.generators] + [sampler.next().raw for _ in range(5)]
+    probes.append(Permutation([2, 1] + list(range(3, n + 1))).raw)
+    for p in probes:
+        for start in (0, len(group._levels) - 1):
+            residue, _ = group._sift(p, start)
+            assert len(residue) == n
+    assert group.contains(group.generators[0])
 
 
 def test_empty_generators_rejected():

@@ -14,7 +14,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 from hypothesis import given, settings, strategies as st
 
 from cubegal.bsgs import PermutationGroup
-from cubegal.perm import IDENT256, Permutation
+from cubegal.perm import Permutation
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=150,
                          deadline=None)
@@ -41,7 +41,7 @@ def _transversal_factors(group, w, levels):
     factors = []
     for lvl in group._levels[:levels]:
         beta = w.raw[lvl.point]
-        u = Permutation._wrap(lvl.trans[beta], n)
+        u = Permutation([x + 1 for x in lvl.trans[beta]])
         factors.append(u)
         w = u.inverse() * w
     return factors, w
@@ -57,9 +57,9 @@ def test_sift_residue_and_transversal_word_give_back_the_input(case):
     n = group.degree
     levels = group._levels
     for p in candidates:
-        table, stick = group._sift(p._img)
-        assert table[n:] == IDENT256[n:]
-        residue = Permutation([x + 1 for x in table[:n]])
+        data, stick = group._sift(p.raw)
+        assert len(data) == n
+        residue = Permutation([x + 1 for x in data])
         # the residue fixes every base point it was sifted past ...
         assert all(residue.raw[lvl.point] == lvl.point for lvl in levels[:stick])
         # ... and, when it stuck, moves that level's point outside the basic orbit

@@ -76,6 +76,30 @@ def test_hash_is_stable_across_construction_and_pickling():
     assert PolyQ.from_coeffs([1, 2]) != PolyQ.from_coeffs([2, 1])
 
 
+def test_equality_agrees_with_the_fraction_tuples():
+    # __eq__ compares cached numerator/denominator ints; it must decide as
+    # the coefficient Fractions do, and pickled copies must carry the key
+    rng = random.Random(5)
+    pool = [PolyQ.from_coeffs(cs) for cs in (
+        [1, 2], [2, 1], [1, 2, 0], ["1/2", 3], ["2/4", "6/2"], ["1/3", 3], ["-1/2", 3],
+        [0, "1/2"], [0, "1/3"], ["3/1"], [3], [], [0], [1, 0, "5/7"], [1, 0, "5/6"])]
+    for _ in range(150):
+        pool.append(PolyQ.from_coeffs(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]))
+    f = rubik_f()
+    pool += [f, PolyQ.from_coeffs([str(c) for c in f.coeffs]),
+             PolyQ(f.coeffs[:-1] + (f.coeffs[-1] * 2,))]
+    for p in pool:
+        for q in pool:
+            assert (p == q) is (p.coeffs == q.coeffs)
+            assert (p != q) is (p.coeffs != q.coeffs)
+            if p == q:
+                assert hash(p) == hash(q)
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p)
+    assert f != f.coeffs and f != str(f)
+
+
 def test_degree_multiplicative():
     rng = random.Random(2)
     for _ in range(20):
