@@ -1,7 +1,7 @@
 """Base and strong generating sets for permutation groups.
 
-Construction is randomized Schreier-Sims (product-replacement sampling)
-followed by a deterministic verification pass with repair.  At each
+Construction is randomized Schreier-Sims on `ProductReplacementSampler`
+elements, then a deterministic verification pass with repair.  At each
 level i, with generator set S_i and base point b_i, the pass sifts every
 Schreier generator of S_i with respect to b_i through the levels below,
 which proves that the stabilizer of b_i in <S_i> lies in the chain below.
@@ -95,8 +95,8 @@ class ProductReplacementSampler:
 
 class PermutationGroup:
     """A generated permutation group with a base and strong generating
-    set, checked as the module docstring states: order, membership test,
-    reproducible random elements."""
+    set, checked as the module docstring states: order and membership
+    test."""
 
     def __init__(self, generators, seed: int = DEFAULT_SEED):
         gens = list(generators)
@@ -143,13 +143,6 @@ class PermutationGroup:
             raise ValueError("degree mismatch")
         residue, _ = self._sift(p.raw)
         return residue == self._ident
-
-    def random_element(self, seed: int) -> Permutation:
-        """One group element; equal seeds return equal elements."""
-        return self.sampler(seed).next()
-
-    def sampler(self, seed: int) -> ProductReplacementSampler:
-        return ProductReplacementSampler(self.generators, seed)
 
     # -- chain internals ----------------------------------------------------
 
@@ -318,38 +311,3 @@ class PermutationGroup:
             residue, stick = failure
             self._add_strong(residue, stick)
             i = stick
-
-
-def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
-                   seed: int = DEFAULT_SEED) -> PermutationGroup | None:
-    """Smallest subgroup of `group` containing `seeds` and normal in it.
-
-    Returns None ("inconclusive") when the generator count exceeds
-    `max_generators`; never returns a wrong group.
-    """
-    closure_gens: list[Permutation] = []
-    seen: set[Permutation] = set()
-    for s in seeds:
-        if s.degree != group.degree:
-            raise ValueError("degree mismatch")
-        if not s.is_identity() and s not in seen:
-            closure_gens.append(s)
-            seen.add(s)
-    if not closure_gens:
-        return PermutationGroup([Permutation.identity(group.degree)], seed=seed)
-    handle = PermutationGroup(closure_gens, seed=seed)
-    while True:
-        new: list[Permutation] = []
-        for g in group.generators:
-            ginv = g.inverse()
-            for s in closure_gens:
-                conj = ginv * s * g
-                if conj not in seen and not handle.contains(conj):
-                    new.append(conj)
-                    seen.add(conj)
-        if not new:
-            return handle
-        closure_gens.extend(new)
-        if len(closure_gens) > max_generators:
-            return None
-        handle = PermutationGroup(closure_gens, seed=seed)

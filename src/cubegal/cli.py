@@ -145,9 +145,12 @@ def _cmd_disc(args) -> int:
         actual=d_str, citation="resultant-based discriminant", ms=ms,
     )]
     if args.square_class_vs is not None:
+        if d == 0:
+            raise _UsageError(f"--poly {args.poly}: the discriminant is 0, "
+                              f"which has no square class")
         try:
             ok = square_class_equal(d, args.square_class_vs)
-        except ValueError as exc:  # a zero discriminant or a zero INT
+        except ValueError as exc:  # a zero INT
             raise _UsageError(f"--square-class-vs {args.square_class_vs}: {exc}") from None
         checks.append(CheckReport(
             check_id="disc.square_class", status="pass" if ok else "fail",

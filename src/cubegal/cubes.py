@@ -17,15 +17,15 @@ model once per process.
 
 One decoder, `piece_coordinates`, reads how a sticker permutation moves
 and turns the pieces of a class; induced piece permutations, sign
-vectors, orientation sums and configuration tuples are all read off it,
-and `encode_config` places pieces back by the same convention.
+vectors and orientation sums are read off it.  No command calls these
+four decoders yet: they are the inputs of the fiber-product proof.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 from .bsgs import PermutationGroup
 from .perm import Permutation, block_system, orbits, parse_cycles, print_cycles
@@ -156,32 +156,6 @@ class StickerModel:
             self._group_cache[seed] = PermutationGroup(
                 list(self.generators.values()), seed=seed)
         return self._group_cache[seed]
-
-    @cached_property
-    def _sign_assignment(self) -> dict:
-        """resolve_sign_assignment's report, computed on first use."""
-        order = self.class_order
-        vectors = [sign_vector(self, g) for g in self.generators.values()]
-        idx = {name: order.index(name) for name in order}
-        candidates = []
-        free = [n for n in order if n not in ("corners", "central_edges")]
-        for tau_class in free:
-            rest = [n for n in free if n != tau_class]
-            ok = all(
-                v[idx["corners"]] == v[idx["central_edges"]] == v[idx[tau_class]]
-                and v[idx[tau_class]] == v[idx[rest[0]]] * v[idx[rest[1]]]
-                for v in vectors
-            )
-            if ok:
-                candidates.append(tau_class)
-        resolved = None
-        if len(candidates) == 1:
-            rest = [n for n in free if n != candidates[0]]
-            # rho_c/rho_e are interchangeable in the conditions; fix the
-            # center-like class as rho_c for definiteness
-            rest.sort(key=lambda n: (n != "plus_centers", n))
-            resolved = {"tau": candidates[0], "rho_c": rest[0], "rho_e": rest[1]}
-        return {"candidates": candidates, "resolved": resolved}
 
 
 def _build_r5() -> StickerModel:
@@ -465,129 +439,3 @@ def sign_vector(model: StickerModel, p: Permutation) -> tuple[int, ...]:
     model's canonical class order."""
     return tuple(induced_cubie_perm(model, p, name).sign()
                  for name in model.class_order)
-
-
-# -- configuration tuples (5x5x5) ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConfigTuple:
-    """Piece-level description of a 5x5x5 sticker arrangement.
-
-    x: corner twists (Z3, indexed by corner position);
-    sigma_c: corner positions; y: central-edge flips (Z2);
-    sigma_e: central-edge positions; tau, rho_c, rho_e: the three
-    24-point piece classes under the resolved class assignment.
-    """
-
-    x: tuple[int, ...]
-    sigma_c: Permutation
-    y: tuple[int, ...]
-    sigma_e: Permutation
-    tau: Permutation
-    rho_c: Permutation
-    rho_e: Permutation
-
-    def __post_init__(self):
-        if len(self.x) != 8 or self.sigma_c.degree != 8:
-            raise ValueError("corner data must live on 8 positions")
-        if len(self.y) != 12 or self.sigma_e.degree != 12:
-            raise ValueError("central-edge data must live on 12 positions")
-        for piece in (self.tau, self.rho_c, self.rho_e):
-            if piece.degree != 24:
-                raise ValueError("piece permutations must live on 24 positions")
-        object.__setattr__(self, "x", tuple(v % 3 for v in self.x))
-        object.__setattr__(self, "y", tuple(v % 2 for v in self.y))
-
-    @classmethod
-    def initial(cls) -> "ConfigTuple":
-        return cls(
-            x=(0,) * 8, sigma_c=Permutation.identity(8),
-            y=(0,) * 12, sigma_e=Permutation.identity(12),
-            tau=Permutation.identity(24),
-            rho_c=Permutation.identity(24),
-            rho_e=Permutation.identity(24),
-        )
-
-
-def resolve_sign_assignment(model: StickerModel) -> dict:
-    """Which 24-piece classes can play tau / (rho_c, rho_e) so that the
-    validity conditions hold literally on every generator.
-
-    The statement never names the physical classes, so the assignment is
-    computed, not presumed: tau must carry the same sign character as
-    the corner and central-edge position permutations, and the remaining
-    two classes must multiply to it.  Computed once per model.
-    """
-    if model.size != 5:
-        raise ValueError("sign assignment applies to the 5x5x5 model")
-    return model._sign_assignment
-
-
-def _resolved_assignment(model: StickerModel) -> dict[str, str]:
-    """role -> class name for tau, rho_c and rho_e, or a ValueError."""
-    assignment = resolve_sign_assignment(model)["resolved"]
-    if assignment is None:
-        raise ValueError("no consistent class assignment")
-    return assignment
-
-
-def decode_config(model: StickerModel, p: Permutation) -> ConfigTuple:
-    """Read the piece-level tuple off a sticker permutation (5x5x5)."""
-    assignment = _resolved_assignment(model)
-    sigma_c, x = piece_coordinates(model, p, "corners")
-    sigma_e, y = piece_coordinates(model, p, "central_edges")
-    return ConfigTuple(x=x, sigma_c=sigma_c, y=y, sigma_e=sigma_e,
-                       **{role: induced_cubie_perm(model, p, name)
-                          for role, name in assignment.items()})
-
-
-def encode_config(model: StickerModel, cfg: ConfigTuple) -> Permutation:
-    """Sticker permutation realizing a piece-level tuple (5x5x5).
-
-    Inverse of decode_config on its image; any tuple is encodable
-    because pieces move whole and rotate freely at the sticker level -
-    validity is a separate question answered by validity_check.
-    """
-    assignment = _resolved_assignment(model)
-    placements = [("corners", cfg.sigma_c, cfg.x), ("central_edges", cfg.sigma_e, cfg.y)]
-    placements += [(name, getattr(cfg, role), (0,) * 24) for role, name in assignment.items()]
-    images = list(range(model.degree + 1))  # 1-based scratch table
-    for class_name, sigma, offsets in placements:
-        blocks = model.blocks[class_name]
-        size = len(blocks[0])
-        for i, block in enumerate(blocks):
-            j = sigma(i + 1) - 1
-            target = blocks[j]
-            k = offsets[j] % size
-            for m in range(size):
-                images[block[m]] = target[(k + m) % size]
-    return Permutation(images[1:])
-
-
-def validity_check(model: StickerModel, cfg: ConfigTuple, *,
-                   cross_check: bool = False) -> tuple[bool, dict[str, bool]]:
-    """Evaluate the four validity conditions literally; optionally
-    cross-check against sticker-group membership of the encoded tuple."""
-    conditions = {
-        "corner_twist_sum_zero": sum(cfg.x) % 3 == 0,
-        "edge_flip_sum_zero": sum(cfg.y) % 2 == 0,
-        "position_signs_linked": (cfg.sigma_c.sign() == cfg.sigma_e.sign()
-                                  == cfg.tau.sign()),
-        "tau_sign_is_rho_product": cfg.tau.sign() == cfg.rho_c.sign() * cfg.rho_e.sign(),
-    }
-    valid = all(conditions.values())
-    if cross_check:
-        conditions["membership_cross_check"] = model.group().contains(
-            encode_config(model, cfg))
-    return valid, conditions
-
-
-def superflip_permutation(model: StickerModel) -> Permutation:
-    """The 3x3x3 sticker permutation flipping all twelve edges in place."""
-    if model.size != 3:
-        raise ValueError("the superflip lives in the 3x3x3 model")
-    images = list(range(model.degree + 1))
-    for a, b in model.blocks["central_edges"]:
-        images[a], images[b] = b, a
-    return Permutation(images[1:])

@@ -523,13 +523,3 @@ def frobenius_type(f: PolyQ, p: int):
         raise ArithmeticError(f"degree-{n} polynomial at p={p}: Frobenius type {t} "
                               f"contradicts Stickelberger's theorem")
     return t
-
-
-def legendre(a: Fraction | int, p: int) -> int:
-    """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    val = _mod_p(Fraction(a), p)
-    if not val:
-        raise ValueError("argument is not a p-adic unit")
-    return 1 if pow(val, (p - 1) // 2, p) == 1 else -1

@@ -297,13 +297,9 @@ def _parse_exact(text: str) -> Fraction:
     return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
-def poly_to_json(f: PolyQ) -> dict:
-    """{"degree": n, "coefficients": [...]} with exact decimal strings."""
-    return {"degree": f.degree, "coefficients": [exact_str(c) for c in f.coeffs]}
-
-
 def poly_from_json(doc: dict) -> PolyQ:
-    """Inverse of poly_to_json; a malformed document raises ValueError."""
+    """Read {"degree": n, "coefficients": [...]}, each coefficient as
+    exact_str writes it; a malformed document raises ValueError."""
     try:
         degree, texts = doc["degree"], doc["coefficients"]
     except (KeyError, TypeError):
@@ -321,12 +317,6 @@ def poly_from_json(doc: dict) -> PolyQ:
     if coeffs and coeffs[-1] == 0:
         raise ValueError("leading coefficient is zero")
     return PolyQ(tuple(coeffs))
-
-
-def save_poly(f: PolyQ, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poly_to_json(f), fh, indent=1)
-        fh.write("\n")
 
 
 def load_poly(path) -> PolyQ:

@@ -60,6 +60,10 @@ Q_CONST = math.prod(p ** e for p, e in Q_FACTORS)
 Z_PARAM = 14464014796817312400264098
 P2_CONST = 195574568093355782014153
 
+P8 = PolyQ.from_coeffs([6489, -2139, 0, 0, 0, 0, 0, 0, 1])  # Y^8 - 2139Y + 6489
+SHANKS_A = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
+SHANKS_B = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
+
 # ---------------------------------------------------------------------------
 # the degree-24 polynomials
 # ---------------------------------------------------------------------------
@@ -67,10 +71,7 @@ P2_CONST = 195574568093355782014153
 
 def rubik_f() -> PolyQ:
     """The dense factor B^8 P8(A/B), Galois group (C3 wr S8)^0."""
-    p8 = PolyQ.from_coeffs([6489, -2139, 0, 0, 0, 0, 0, 0, 1])  # Y^8 - 2139Y + 6489
-    a = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
-    b = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
-    return compose(p8, a, b)
+    return compose(P8, SHANKS_A, SHANKS_B)
 
 
 def rubik_g() -> PolyQ:

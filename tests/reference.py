@@ -1,0 +1,312 @@
+"""Models and helpers that only the tests use: no cubegal command runs
+them.  The tests check the package against them, and the acceptance gate
+checks the paper's structural claims with them."""
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import permutations as iter_permutations, product
+from math import factorial
+
+from cubegal.bsgs import DEFAULT_SEED, PermutationGroup
+from cubegal.cubes import (StickerModel, cube_model, induced_cubie_perm,
+                           piece_coordinates, sign_vector)
+from cubegal.perm import Permutation
+from cubegal.polymod import _mod_p, is_prime
+from cubegal.polyq import PolyQ, exact_str
+
+
+@dataclass(frozen=True)
+class WreathElement:
+    """An element (x, sigma) of C_n wr S_m: twist vector plus base
+    permutation, multiplied by (x, s)(x', s') = (x + s.x', s s') where
+    (s.x')_i = x'_{s^-1(i)}."""
+
+    modulus: int
+    twists: tuple[int, ...]
+    perm: Permutation
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise ValueError("twist modulus must be at least 2")
+        if len(self.twists) != self.perm.degree:
+            raise ValueError("twist vector length must match the permutation degree")
+        object.__setattr__(self, "twists",
+                           tuple(t % self.modulus for t in self.twists))
+
+    @classmethod
+    def identity(cls, n: int, m: int) -> "WreathElement":
+        return cls(n, (0,) * m, Permutation.identity(m))
+
+    def __mul__(self, other: "WreathElement") -> "WreathElement":
+        if self.modulus != other.modulus:
+            raise ValueError("twist modulus mismatch")
+        inv = self.perm.inverse()
+        moved = tuple(other.twists[inv(i + 1) - 1] for i in range(len(self.twists)))
+        twists = tuple(a + b for a, b in zip(self.twists, moved))
+        return WreathElement(self.modulus, twists, self.perm * other.perm)
+
+    def inverse(self) -> "WreathElement":
+        inv = self.perm.inverse()
+        twists = tuple(-self.twists[self.perm(i + 1) - 1] for i in range(len(self.twists)))
+        return WreathElement(self.modulus, twists, inv)
+
+    @property
+    def twist_sum(self) -> int:
+        return sum(self.twists) % self.modulus
+
+    @property
+    def in_restricted(self) -> bool:
+        """Membership in the kernel of (x, sigma) -> sum(x)."""
+        return self.twist_sum == 0
+
+    def to_permutation(self) -> Permutation:
+        """Imprimitive action on n*m points: block b, slot s sits at
+        point (b-1)*n + s + 1 and maps to (sigma(b), s + x_{sigma(b)})."""
+        n, m = self.modulus, self.perm.degree
+        images = [0] * (n * m)
+        for b in range(1, m + 1):
+            target = self.perm(b)
+            twist = self.twists[target - 1]
+            for s in range(n):
+                images[(b - 1) * n + s] = (target - 1) * n + (s + twist) % n + 1
+        return Permutation(images)
+
+
+def enumerate_restricted(n: int, m: int) -> list[WreathElement]:
+    """All elements of (C_n wr S_m)^0; for brute-force cross-checks only."""
+    if n ** m * factorial(m) > 10 ** 6:
+        raise ValueError("enumeration domain too large")
+    out = []
+    for images in iter_permutations(range(1, m + 1)):
+        sigma = Permutation(list(images))
+        for head in product(range(n), repeat=m - 1):
+            tail = (-sum(head)) % n
+            out.append(WreathElement(n, head + (tail,), sigma))
+    return out
+
+
+def superflip_abstract() -> tuple[WreathElement, WreathElement]:
+    """The central element of the abstract 3x3x3 model: corners
+    untouched, every edge flipped in place."""
+    return (WreathElement.identity(3, 8),
+            WreathElement(2, (1,) * 12, Permutation.identity(12)))
+
+
+def commutes_with_all(element: tuple[WreathElement, WreathElement],
+                      gens) -> bool:
+    a, b = element
+    return all(a * ga == ga * a and b * gb == gb * b for ga, gb in gens)
+
+
+def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
+                   seed: int = DEFAULT_SEED) -> PermutationGroup | None:
+    """Smallest subgroup of `group` containing `seeds` and normal in it.
+
+    Returns None ("inconclusive") when the generator count exceeds
+    `max_generators`; never returns a wrong group.
+    """
+    closure_gens: list[Permutation] = []
+    seen: set[Permutation] = set()
+    for s in seeds:
+        if s.degree != group.degree:
+            raise ValueError("degree mismatch")
+        if not s.is_identity() and s not in seen:
+            closure_gens.append(s)
+            seen.add(s)
+    if not closure_gens:
+        return PermutationGroup([Permutation.identity(group.degree)], seed=seed)
+    handle = PermutationGroup(closure_gens, seed=seed)
+    while True:
+        new: list[Permutation] = []
+        for g in group.generators:
+            ginv = g.inverse()
+            for s in closure_gens:
+                conj = ginv * s * g
+                if conj not in seen and not handle.contains(conj):
+                    new.append(conj)
+                    seen.add(conj)
+        if not new:
+            return handle
+        closure_gens.extend(new)
+        if len(closure_gens) > max_generators:
+            return None
+        handle = PermutationGroup(closure_gens, seed=seed)
+
+
+def abelianization_order(group: PermutationGroup, *, max_generators: int = 256,
+                         seed: int = 1) -> int | None:
+    """|G / [G,G]|, with [G,G] the normal closure of the generator
+    commutators; None when the closure was inconclusive."""
+    gens = group.generators
+    commutators = [a.inverse() * b.inverse() * a * b
+                   for i, a in enumerate(gens) for b in gens[i + 1:]]
+    derived = normal_closure(group, commutators, max_generators=max_generators, seed=seed)
+    return None if derived is None else group.order() // derived.order()
+
+
+@dataclass(frozen=True)
+class ConfigTuple:
+    """Piece-level description of a 5x5x5 sticker arrangement.
+
+    x: corner twists (Z3, indexed by corner position);
+    sigma_c: corner positions; y: central-edge flips (Z2);
+    sigma_e: central-edge positions; tau, rho_c, rho_e: the three
+    24-point piece classes under the resolved class assignment.
+    """
+
+    x: tuple[int, ...]
+    sigma_c: Permutation
+    y: tuple[int, ...]
+    sigma_e: Permutation
+    tau: Permutation
+    rho_c: Permutation
+    rho_e: Permutation
+
+    def __post_init__(self):
+        if len(self.x) != 8 or self.sigma_c.degree != 8:
+            raise ValueError("corner data must live on 8 positions")
+        if len(self.y) != 12 or self.sigma_e.degree != 12:
+            raise ValueError("central-edge data must live on 12 positions")
+        for piece in (self.tau, self.rho_c, self.rho_e):
+            if piece.degree != 24:
+                raise ValueError("piece permutations must live on 24 positions")
+        object.__setattr__(self, "x", tuple(v % 3 for v in self.x))
+        object.__setattr__(self, "y", tuple(v % 2 for v in self.y))
+
+    @classmethod
+    def initial(cls) -> "ConfigTuple":
+        ident = Permutation.identity
+        return cls(x=(0,) * 8, sigma_c=ident(8), y=(0,) * 12, sigma_e=ident(12),
+                   tau=ident(24), rho_c=ident(24), rho_e=ident(24))
+
+
+@cache
+def sign_assignment(size: int) -> dict:
+    """Which 24-piece classes of the 5x5x5 model can play tau /
+    (rho_c, rho_e) so that the validity conditions hold literally on
+    every generator.
+
+    The statement never names the physical classes, so the assignment is
+    computed, not presumed: tau must carry the same sign character as
+    the corner and central-edge position permutations, and the remaining
+    two classes must multiply to it.  Computed once per model size.
+    """
+    if size != 5:
+        raise ValueError("sign assignment applies to the 5x5x5 model")
+    model = cube_model(5)
+    order = model.class_order
+    vectors = [dict(zip(order, sign_vector(model, g))) for g in model.generators.values()]
+    candidates = []
+    free = [n for n in order if n not in ("corners", "central_edges")]
+    for tau_class in free:
+        rest = [n for n in free if n != tau_class]
+        ok = all(
+            v["corners"] == v["central_edges"] == v[tau_class]
+            and v[tau_class] == v[rest[0]] * v[rest[1]]
+            for v in vectors
+        )
+        if ok:
+            candidates.append(tau_class)
+    resolved = None
+    if len(candidates) == 1:
+        rest = [n for n in free if n != candidates[0]]
+        # rho_c/rho_e are interchangeable in the conditions; fix the
+        # center-like class as rho_c for definiteness
+        rest.sort(key=lambda n: (n != "plus_centers", n))
+        resolved = {"tau": candidates[0], "rho_c": rest[0], "rho_e": rest[1]}
+    return {"candidates": candidates, "resolved": resolved}
+
+
+def decode_config(model: StickerModel, p: Permutation) -> ConfigTuple:
+    """Read the piece-level tuple off a sticker permutation (5x5x5)."""
+    sigma_c, x = piece_coordinates(model, p, "corners")
+    sigma_e, y = piece_coordinates(model, p, "central_edges")
+    return ConfigTuple(x=x, sigma_c=sigma_c, y=y, sigma_e=sigma_e,
+                       **{role: induced_cubie_perm(model, p, name)
+                          for role, name in sign_assignment(model.size)["resolved"].items()})
+
+
+def _placed(model: StickerModel, placements) -> Permutation:
+    """Move block i of each listed class onto block sigma(i), turned by
+    that target's offset, as piece_coordinates reads them back."""
+    images = list(range(model.degree + 1))  # 1-based scratch table
+    for class_name, sigma, offsets in placements:
+        blocks = model.blocks[class_name]
+        size = len(blocks[0])
+        for i, block in enumerate(blocks):
+            j = sigma(i + 1) - 1
+            target = blocks[j]
+            k = offsets[j] % size
+            for m in range(size):
+                images[block[m]] = target[(k + m) % size]
+    return Permutation(images[1:])
+
+
+def encode_config(model: StickerModel, cfg: ConfigTuple) -> Permutation:
+    """Sticker permutation realizing a piece-level tuple (5x5x5).
+
+    Inverse of decode_config on its image; any tuple is encodable
+    because pieces move whole and rotate freely at the sticker level -
+    validity is a separate question answered by validity_check.
+    """
+    assignment = sign_assignment(model.size)["resolved"]
+    placements = [("corners", cfg.sigma_c, cfg.x), ("central_edges", cfg.sigma_e, cfg.y)]
+    placements += [(name, getattr(cfg, role), (0,) * 24) for role, name in assignment.items()]
+    return _placed(model, placements)
+
+
+def validity_check(model: StickerModel, cfg: ConfigTuple, *,
+                   cross_check: bool = False) -> tuple[bool, dict[str, bool]]:
+    """Evaluate the four validity conditions literally; optionally
+    cross-check against sticker-group membership of the encoded tuple."""
+    conditions = {
+        "corner_twist_sum_zero": sum(cfg.x) % 3 == 0,
+        "edge_flip_sum_zero": sum(cfg.y) % 2 == 0,
+        "position_signs_linked": (cfg.sigma_c.sign() == cfg.sigma_e.sign()
+                                  == cfg.tau.sign()),
+        "tau_sign_is_rho_product": cfg.tau.sign() == cfg.rho_c.sign() * cfg.rho_e.sign(),
+    }
+    valid = all(conditions.values())
+    if cross_check:
+        conditions["membership_cross_check"] = model.group().contains(
+            encode_config(model, cfg))
+    return valid, conditions
+
+
+def superflip_permutation(model: StickerModel) -> Permutation:
+    """The 3x3x3 sticker permutation flipping all twelve edges in place."""
+    if model.size != 3:
+        raise ValueError("the superflip lives in the 3x3x3 model")
+    return _placed(model, [("central_edges", Permutation.identity(12), (1,) * 12)])
+
+
+def sign_image(model: StickerModel) -> set[tuple[int, ...]]:
+    """The image of the sign character: the span of the generators' sign
+    vectors, each of order at most 2, under coordinatewise products."""
+    span = {(1,) * len(model.class_order)}
+    for w in {sign_vector(model, g) for g in model.generators.values()}:
+        span |= {tuple(a * b for a, b in zip(v, w)) for v in span}
+    return span
+
+
+def legendre(a: Fraction | int, p: int) -> int:
+    """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    val = _mod_p(Fraction(a), p)
+    if not val:
+        raise ValueError("argument is not a p-adic unit")
+    return 1 if pow(val, (p - 1) // 2, p) == 1 else -1
+
+
+def poly_to_json(f: PolyQ) -> dict:
+    """{"degree": n, "coefficients": [...]} with exact decimal strings."""
+    return {"degree": f.degree, "coefficients": [exact_str(c) for c in f.coeffs]}
+
+
+def save_poly(f: PolyQ, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(poly_to_json(f), fh, indent=1)
+        fh.write("\n")

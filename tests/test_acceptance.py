@@ -14,21 +14,21 @@ import random
 import time
 from fractions import Fraction
 
-from cubegal.cubes import cube_model, orientation_sum, sign_vector, superflip_permutation
+from cubegal.cubes import cube_model, orientation_sum
 from cubegal.evidence import (certify_symmetric, parity_linkage,
                               predict_wreath_types, scan, triple_parity_linkage,
                               types_within)
 from cubegal.perm import CycleType
 from cubegal.polyq import PolyQ, discriminant, trinomial_disc, trinomial_poly
 from cubegal.sqclass import is_square, square_class_equal
-from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER,
-                               abelianization_order, enumerate_restricted,
-                               r4_predicted_order, r5_predicted_order,
-                               restricted_wreath_order)
+from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, r4_predicted_order,
+                               r5_predicted_order, restricted_wreath_order)
 from cubegal.theorems import (TARGET_CLASS, derive_parameters, professor_h2,
                               professor_h3, revenge_g, revenge_g_coefficient,
                               revenge_h, rubik_f, rubik_g, rubik_g_resolvent,
                               professor_h1_stated_coefficient)
+from reference import (abelianization_order, enumerate_restricted, sign_image,
+                       superflip_permutation)
 
 JOBS = 2  # worker pool width available in this environment
 
@@ -219,18 +219,7 @@ def test_criterion_8_cube_invariants():
     twist_ok = all(orientation_sum(m5, g, "corners") == 0
                    and orientation_sum(m5, g, "central_edges") == 0
                    for g in m5.generators.values())
-    vectors = {sign_vector(m5, g) for g in m5.generators.values()}
-    span = {(1,) * 5}
-    frontier = set(span)
-    while frontier:
-        fresh = set()
-        for v in frontier:
-            for w in vectors:
-                prod = tuple(a * b for a, b in zip(v, w))
-                if prod not in span:
-                    span.add(prod)
-                    fresh.add(prod)
-        frontier = fresh
+    span = sign_image(m5)
     m3 = cube_model(3)
     sf = superflip_permutation(m3)
     superflip_ok = (sf.order() == 2

@@ -3,8 +3,9 @@ from math import factorial, lcm
 
 import pytest
 
-from cubegal.bsgs import PermutationGroup, ProductReplacementSampler, normal_closure
+from cubegal.bsgs import PermutationGroup, ProductReplacementSampler
 from cubegal.perm import IDENT256, Permutation, parse_cycles
+from reference import normal_closure
 
 
 def s_n_generators(n):
@@ -136,7 +137,7 @@ def test_chain_data_is_exact_length_and_tables_are_padded(build):
             assert len(u) == n and u[lvl.point] == gamma
             assert len(inv) == 256 and inv[n:] == IDENT256[n:]
             assert u.translate(inv) == ident
-    sampler = group.sampler(5)
+    sampler = ProductReplacementSampler(group.generators, 5)
     probes = [g.raw for g in group.generators] + [sampler.next().raw for _ in range(5)]
     probes.append(Permutation([2, 1] + list(range(3, n + 1))).raw)
     for p in probes:
@@ -161,7 +162,7 @@ def test_trivial_group():
     assert g.order() == 1
     assert g.contains(Permutation.identity(6))
     assert not g.contains(parse_cycles("(1 2)", 6))
-    assert g.random_element(3).is_identity()
+    assert ProductReplacementSampler(g.generators, 3).next().is_identity()
 
 
 def test_contains_identity_and_generators():
@@ -196,7 +197,7 @@ def test_contains_degree_mismatch():
 
 def test_contains_closed_under_products_random():
     g = PermutationGroup([parse_cycles("(1 2 3)", 7), parse_cycles("(3 4 5 6 7)", 7)])
-    sampler = g.sampler(99)
+    sampler = ProductReplacementSampler(g.generators, 99)
     for _ in range(30):
         a = sampler.next()
         b = sampler.next()
@@ -216,16 +217,17 @@ def test_cyclic_group_order_matches_element_order():
 
 def test_random_element_deterministic():
     g = PermutationGroup(s_n_generators(12))
-    assert g.random_element(42) == g.random_element(42)
-    stream_a = [g.sampler(7).next() for _ in range(3)]
-    stream_b = [g.sampler(7).next() for _ in range(3)]
+    assert (ProductReplacementSampler(g.generators, 42).next()
+            == ProductReplacementSampler(g.generators, 42).next())
+    stream_a = [ProductReplacementSampler(g.generators, 7).next() for _ in range(3)]
+    stream_b = [ProductReplacementSampler(g.generators, 7).next() for _ in range(3)]
     assert stream_a == stream_b
 
 
 def test_random_elements_are_members():
     g = PermutationGroup([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6),
                           parse_cycles("(1 4)(2 5)(3 6)", 6)])
-    sampler = g.sampler(1)
+    sampler = ProductReplacementSampler(g.generators, 1)
     for _ in range(50):
         assert g.contains(sampler.next())
 
@@ -233,7 +235,7 @@ def test_random_elements_are_members():
 def test_even_fraction_of_s24_samples():
     from cubegal.evidence import EVEN_FRACTION_WINDOW
     g = PermutationGroup(s_n_generators(24))
-    sampler = g.sampler(2024)
+    sampler = ProductReplacementSampler(g.generators, 2024)
     even = sum(1 for _ in range(10_000) if sampler.next().sign() == 1)
     low, high = EVEN_FRACTION_WINDOW
     assert low <= even / 10_000 <= high
@@ -349,7 +351,7 @@ def test_r3_order_and_contains_match_sympy():
     theirs = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(g.raw)) for g in gens])
     assert ours.order() == theirs.order() == 43252003274489856000
-    sampler = ours.sampler(5)
+    sampler = ProductReplacementSampler(ours.generators, 5)
     a, b = sampler.next(), sampler.next()
     swap = Permutation.from_cycles([gens[0].cycles()[0][:2]], 48)
     for p in (a, a * b, swap, a * swap):

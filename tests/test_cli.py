@@ -11,9 +11,10 @@ from cubegal import evidence
 from cubegal.cli import build_parser, cli_main
 from cubegal.cubes import GENERATOR_TABLES, cube_model
 from cubegal.perm import parse_cycles, print_cycles
-from cubegal.polyq import PolyQ, discriminant, exact_str, save_poly, trinomial_poly
+from cubegal.polyq import PolyQ, discriminant, exact_str, trinomial_poly
 from cubegal.structure import R3_ORDER
 from cubegal.theorems import revenge_h, rubik_f
+from reference import save_poly
 
 
 def run_cli(capsys, *argv):
@@ -261,11 +262,13 @@ _LONG = "1" * 5000
     (["order", "--cube", "3", "--out", "{poly}/x"], None),
     (["disc", "--poly", "{poly}", "--out", "{poly}/x"],
      '{"degree": 1, "coefficients": ["1", "1"]}'),
-    # zero has no square class: a zero INT, or a zero discriminant
-    (["disc", "--poly", "{poly}", "--square-class-vs", "0"],
-     '{"degree": 1, "coefficients": ["1", "1"]}'),
-    (["disc", "--poly", "{poly}", "--square-class-vs", "5"],
-     '{"degree": 2, "coefficients": ["1", "2", "1"]}'),
+    # zero has no square class: the message blames a zero INT or a zero discriminant
+    pytest.param(["disc", "--poly", "{poly}", "--square-class-vs", "0"],
+                 '{"degree": 1, "coefficients": ["1", "1"]}',
+                 marks=pytest.mark.blames("--square-class-vs 0: zero has no square class")),
+    pytest.param(["disc", "--poly", "{poly}", "--square-class-vs", "5"],
+                 '{"degree": 2, "coefficients": ["1", "2", "1"]}',
+                 marks=pytest.mark.blames("--poly {poly}: the discriminant is 0")),
     # the wreath type sets live on 24 points: X^3 + X + 1 is no input for them
     (["frobenius", "--poly", "{poly}", "--primes", "20", "--certify", "wreath-3-8"],
      '{"degree": 3, "coefficients": ["1", "1", "0", "1"]}'),
@@ -274,7 +277,7 @@ _LONG = "1" * 5000
     # JSON booleans are not coefficients, though Python counts them as ints
     (["disc", "--poly", "{poly}"], '{"degree": 1, "coefficients": [true, true]}'),
 ])
-def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
+def test_bad_input_is_a_usage_error(tmp_path, capsys, request, argv, poly_text):
     path = tmp_path / "poly.json"
     if poly_text is not None:
         path.write_text(poly_text, encoding="utf-8")
@@ -283,6 +286,8 @@ def test_bad_input_is_a_usage_error(tmp_path, capsys, argv, poly_text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    for blames in request.node.iter_markers("blames"):
+        assert "error: " + blames.args[0].replace("{poly}", str(path)) in err
 
 
 def test_default_jobs_counts_cpus_available_to_the_process(monkeypatch):

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, ConfigTuple,
-                           canonical_table_text, cube_model, decode_config,
-                           encode_config, induced_cubie_perm, load_net,
-                           orientation_sum, resolve_sign_assignment, sign_vector,
-                           superflip_permutation, validity_check)
+from cubegal.bsgs import ProductReplacementSampler
+from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, canonical_table_text,
+                           cube_model, induced_cubie_perm, load_net,
+                           orientation_sum, sign_vector)
 from cubegal.perm import Permutation, orbits, parse_cycles
+from reference import (ConfigTuple, decode_config, encode_config, sign_assignment,
+                       sign_image, superflip_permutation, validity_check)
 
 
 def test_table_integrity():
@@ -147,37 +148,13 @@ def test_sign_vectors_of_generators():
 
 
 def test_sign_character_image_has_order_four():
-    m5 = cube_model(5)
-    vectors = {sign_vector(m5, g) for g in m5.generators.values()}
-    group = {(1,) * 5}
-    frontier = set(group)
-    while frontier:
-        fresh = set()
-        for v in frontier:
-            for w in vectors:
-                prod = tuple(a * b for a, b in zip(v, w))
-                if prod not in group:
-                    group.add(prod)
-                    fresh.add(prod)
-        frontier = fresh
-    assert len(group) == 4
+    assert len(sign_image(cube_model(5))) == 4
 
 
 def test_sign_vector_closure_on_random_elements():
     m5 = cube_model(5)
-    vectors = {sign_vector(m5, g) for g in m5.generators.values()}
-    span = {(1,) * 5}
-    frontier = set(span)
-    while frontier:
-        fresh = set()
-        for v in frontier:
-            for w in vectors:
-                prod = tuple(a * b for a, b in zip(v, w))
-                if prod not in span:
-                    span.add(prod)
-                    fresh.add(prod)
-        frontier = fresh
-    sampler = m5.group().sampler(5)
+    span = sign_image(m5)
+    sampler = ProductReplacementSampler(m5.generators.values(), 5)
     for _ in range(1000):
         assert sign_vector(m5, sampler.next()) in span
 
@@ -200,7 +177,7 @@ def test_orientation_sums_vanish_on_generators():
 
 def test_orientation_sums_vanish_on_random_elements():
     m5 = cube_model(5)
-    sampler = m5.group().sampler(11)
+    sampler = ProductReplacementSampler(m5.generators.values(), 11)
     for _ in range(1000):
         p = sampler.next()
         assert orientation_sum(m5, p, "corners") == 0
@@ -215,7 +192,7 @@ def test_orientation_identity_and_validation():
 
 
 def test_sign_assignment_resolution():
-    report = resolve_sign_assignment(cube_model(5))
+    report = sign_assignment(5)
     assert report["candidates"] == ["x_centers"]
     assert report["resolved"] == {"tau": "x_centers", "rho_c": "plus_centers",
                                   "rho_e": "wings"}
@@ -252,7 +229,7 @@ def test_generator_decodes_to_valid_config():
 
 def test_decode_encode_round_trip_random():
     m5 = cube_model(5)
-    sampler = m5.group().sampler(3)
+    sampler = ProductReplacementSampler(m5.generators.values(), 3)
     for _ in range(25):
         p = sampler.next()
         cfg = decode_config(m5, p)

@@ -12,8 +12,8 @@ from cubegal.evidence import (LinkageReport, certify_symmetric, parity_linkage,
 from cubegal.perm import CycleType
 from cubegal.polymod import primes
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
-from cubegal.structure import enumerate_restricted
 from cubegal.theorems import (revenge_h, rubik_f, rubik_g, rubik_g_resolvent)
+from reference import enumerate_restricted
 from test_polymod import PSI_12, PSI_13
 
 

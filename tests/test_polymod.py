@@ -8,10 +8,11 @@ import pytest
 from cubegal import polymod, theorems
 from cubegal.perm import CycleType
 from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _Residues,
-                             _settle, _trim, ddf_cycle_type, frobenius_type, is_prime, legendre,
+                             _settle, _trim, ddf_cycle_type, frobenius_type, is_prime,
                              powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
+from reference import legendre
 
 # the named polynomials of the theorem suites, h1 both as derived and as stated
 NAMED_POLYNOMIALS = {

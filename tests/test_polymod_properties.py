@@ -10,7 +10,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from cubegal.polymod import (PolyFp, _divexact, _divmod, _Residues, _rem, _trim,
-                             ddf_cycle_type, legendre, powmod)
+                             ddf_cycle_type, powmod)
+from reference import legendre
 from test_polymod import reference_ddf, reference_powmod, schoolbook_mul, schoolbook_row
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)

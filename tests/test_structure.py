@@ -3,15 +3,21 @@ from math import factorial
 
 import pytest
 
-from cubegal.bsgs import PermutationGroup
-from cubegal.cubes import cube_model
+from cubegal.bsgs import PermutationGroup, ProductReplacementSampler
+from cubegal.cubes import cube_model, piece_coordinates
 from cubegal.perm import Permutation, parse_cycles
-from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, WreathElement,
-                               abelianization_order, commutes_with_all,
-                               enumerate_restricted, fiber_order,
-                               r3_abstract_generators, r3_predicted_order,
-                               r4_predicted_order, r5_predicted_order,
-                               restricted_wreath_order, superflip_abstract)
+from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, fiber_order,
+                               r3_predicted_order, r4_predicted_order,
+                               r5_predicted_order, restricted_wreath_order)
+from reference import (WreathElement, abelianization_order, commutes_with_all,
+                       enumerate_restricted, superflip_abstract)
+
+
+# ((x, sigma_c), (y, sigma_e)), twists indexed by target position as in the wreath law
+def decode(model, p):
+    sc, xs = piece_coordinates(model, p, "corners")
+    se, ys = piece_coordinates(model, p, "central_edges")
+    return WreathElement(3, xs, sc), WreathElement(2, ys, se)
 
 
 def random_wreath(rng, n, m):
@@ -101,31 +107,28 @@ def test_superflip_abstract_properties():
 
 
 def test_superflip_central_against_decoded_generators():
-    gens = r3_abstract_generators(cube_model(3))
+    m3 = cube_model(3)
+    gens = [decode(m3, g) for g in m3.generators.values()]
     assert len(gens) == 6
-    assert commutes_with_all(superflip_abstract(), gens.values())
+    assert commutes_with_all(superflip_abstract(), gens)
 
 
 def test_decoded_generators_respect_fiber_conditions():
-    for corner, edge in r3_abstract_generators(cube_model(3)).values():
+    m3 = cube_model(3)
+    for corner, edge in (decode(m3, g) for g in m3.generators.values()):
         assert corner.in_restricted
         assert edge.in_restricted
         assert corner.perm.sign() == edge.perm.sign()
 
 
 def test_decoding_is_a_homomorphism():
-    from cubegal.cubes import piece_coordinates
     m3 = cube_model(3)
-    sampler = m3.group().sampler(21)
+    sampler = ProductReplacementSampler(m3.generators.values(), 21)
     for _ in range(10):
         p, q = sampler.next(), sampler.next()
-        def decode(x):
-            sc, xs = piece_coordinates(m3, x, "corners")
-            se, ys = piece_coordinates(m3, x, "central_edges")
-            return WreathElement(3, xs, sc), WreathElement(2, ys, se)
-        pc, pe = decode(p)
-        qc, qe = decode(q)
-        rc, re = decode(p * q)
+        pc, pe = decode(m3, p)
+        qc, qe = decode(m3, q)
+        rc, re = decode(m3, p * q)
         assert rc == pc * qc
         assert re == pe * qe
 

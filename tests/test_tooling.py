@@ -10,6 +10,8 @@ from cubegal.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cubegal"
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
 
 
 def test_no_assert_statements_in_package():
@@ -68,10 +70,8 @@ def test_order_and_gens_leave_the_number_layer_unimported():
     # cold start: order and gens need only perm, bsgs, cubes and structure
     number_layer = ["cubegal.evidence", "cubegal.theorems", "cubegal.polymod",
                     "cubegal.polyq", "cubegal.sqclass", "concurrent.futures.process"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _LAYERING_PROBE, *number_layer],
-                         env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
     got = json.loads(run.stdout)
     assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
 
@@ -95,10 +95,8 @@ def test_openssl_and_the_pool_stack_load_only_where_they_are_used():
     # hashlib (OpenSSL) is for the sticker tables' integrity check, the pool
     # stack for --jobs > 1; -S keeps site .pth files from preloading either
     heavy = ["_hashlib", "concurrent.futures.process", "hashlib", "multiprocessing"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-S", "-c", _LAZY_IMPORT_PROBE, *heavy],
-                         env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
     assert json.loads(run.stdout) == [0, [], 0, True, 0, heavy]
 
 
@@ -131,3 +129,59 @@ def test_micro_benchmark_oracles_report_no_problems(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "benchmarks" / "micro.py"), "--seed", "1",
                     "--out", str(out)], cwd=ROOT, capture_output=True, text=True, check=True)
     assert json.loads(out.read_text())["problems"] == []
+
+
+def test_theorems_loads_neither_the_group_engine_nor_the_sticker_models():
+    # the number layer reads the cube orders from structure, which needs only math
+    probe = ("import sys, cubegal.theorems; "
+             "print(sorted({'cubegal.bsgs', 'cubegal.cubes'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", probe], env=_ENV, cwd=ROOT,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
+# public names no command and no benchmark file uses, each kept for a reason
+_UNCALLED_ALLOWED = {
+    "cubes.piece_coordinates": "decoder for the fiber-product proof, ROADMAP item 2",
+    "cubes.induced_cubie_perm": "decoder for the fiber-product proof, ROADMAP item 2",
+    "cubes.orientation_sum": "decoder for the fiber-product proof, ROADMAP item 2",
+    "cubes.sign_vector": "decoder for the fiber-product proof, ROADMAP item 2",
+    "evidence.MIN_DISTINCT_TYPES_S24": "statistical window the ROADMAP pins in evidence",
+    "evidence.EVEN_FRACTION_WINDOW": "statistical window the ROADMAP pins in evidence",
+    "theorems.professor_h1_stated": "the paper's named factor, as stated",
+    "theorems.professor_h3": "the paper's named factor",
+}
+
+
+def _spelled(tree) -> set:
+    """The identifiers, attributes, imported names and constants of a syntax
+    tree; constants, because the benchmark probe rebinds names by string."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "name", None)
+            or n.value for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute, ast.alias, ast.Constant))}
+
+
+def test_every_public_name_has_a_command_or_benchmark_caller():
+    # a name only the tests use belongs in tests/reference.py.  A top-level
+    # statement uses the names it spells; no name is bound in two modules
+    module_of, uses = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = [stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else [
+                t.id for t in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                if isinstance(t, ast.Name)]
+            for name in names:
+                assert module_of.setdefault(name, path.stem) == path.stem
+                uses.setdefault(name, set()).update(_spelled(stmt))
+    named = set().union(*(_spelled(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in (ROOT / "benchmarks").glob("*.py")))
+    todo = ["main", *(uses.keys() & named)]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in uses and name not in reached:
+            reached.add(name)
+            todo.extend(uses[name])
+    assert {f"_cmd_{c}" for c in ("order", "gens", "disc", "frobenius", "verify")} <= reached
+    uncalled = {f"{module_of[n]}.{n}" for n in uses.keys() - reached if not n.startswith("_")}
+    assert uncalled == set(_UNCALLED_ALLOWED)
