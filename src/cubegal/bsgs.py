@@ -5,8 +5,8 @@ elements, then a deterministic verification pass with repair.  At each
 level i, with generator set S_i and base point b_i, the pass sifts every
 Schreier generator of S_i with respect to b_i through the levels below,
 which proves that the stabilizer of b_i in <S_i> lies in the chain below.
-The levels are not nested: `_prune` rebuilds each level from its own
-orbit walk, so a deeper level may hold generators that level i lacks,
+The levels are not nested: `_prune` rebuilds each level from one orbit
+walk of its own, so a deeper level may hold generators that level i lacks,
 and the pass is not the full Schreier-Sims criterion.  What it leaves
 proved: a membership test that answers yes (the element is a product of
 transversal words), and the order as a lower bound (the product of the
@@ -70,7 +70,6 @@ class ProductReplacementSampler:
         gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
-        self._degree = gens[0].degree
         self._slots = [gens[i % len(gens)]._img for i in range(_PR_SLOTS)]
         self._rng = random.Random(seed)
         for _ in range(_PR_BURNIN):
@@ -88,9 +87,6 @@ class ProductReplacementSampler:
             b = bytes.maketrans(b, IDENT256)
         self._slots[i] = b.translate(a) if rng.random() < 0.5 else a.translate(b)
         return self._slots[i]
-
-    def next(self) -> Permutation:
-        return Permutation._wrap(self._step(), self._degree)
 
 
 class PermutationGroup:
@@ -256,22 +252,19 @@ class PermutationGroup:
         One orbit walk per level from scratch records which generators
         first reached each orbit point; the rest are redundant for the
         orbit (though not necessarily for the stabilizer below - the
-        verification pass re-adjoins what its check finds missing).  Transversals
-        are rebuilt from the kept generators so every transversal word
-        stays inside the kept span.  The original input generators are
-        never dropped from the top level: the chain's group must remain
-        the group they generate.
+        verification pass re-adjoins what its check finds missing).  The
+        walk's transversals are kept: each tree edge is labelled by the
+        generator that first reached its point, so every transversal word
+        is one in the kept generators.  Input generators are never dropped
+        from the top level: the chain's group must stay theirs.
         """
         for depth, lvl in enumerate(self._levels):
-            kept = self._extend_orbit(_Level(lvl.point, self._ident, lvl.gens))
+            pruned = _Level(lvl.point, self._ident, lvl.gens)
+            pruned.gens = kept = self._extend_orbit(pruned)
             if depth == 0:
                 for g in lvl.gens:
                     if g in protected and g not in kept:
                         kept.append(g)
-            pruned = _Level(lvl.point, self._ident, kept)
-            self._extend_orbit(pruned)
-            if pruned.trans.keys() != lvl.trans.keys():
-                raise AssertionError("pruned generators no longer span the basic orbit")
             self._levels[depth] = pruned
 
     def _check_level(self, i: int):

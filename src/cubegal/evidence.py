@@ -38,9 +38,8 @@ the only other outcome.
 
 from __future__ import annotations
 
-import functools
 import sys
-from collections import Counter, OrderedDict
+from collections import Counter
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from itertools import islice, product
@@ -63,10 +62,8 @@ EVEN_FRACTION_WINDOW = (0.45, 0.55)
 
 
 # process-wide Frobenius types, (poly, p) -> CycleType or None (bad p);
-# each value is a pure function of its key, so suites share it freely.
-# Oldest entries are evicted first once the cache is full.
-_TYPES: OrderedDict = OrderedDict()
-_TYPES_MAX = 1 << 20
+# each value is a pure function of its key, so suites share it freely
+_TYPES: dict = {}
 # primes per batch handed to a worker pool
 _POOL_CHUNK = 64
 # (poly, p) keys per task that pool.map sends to a worker
@@ -95,16 +92,17 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
     The stream ends after `budget` good primes or after
     _SEARCH_FACTOR * budget primes examined, whichever comes first.
 
-    Types come from the shared cache; misses are computed here at
+    Types come from the shared cache _TYPES, which has no bound (a verify
+    suite leaves at most 1,635 keys in it); misses are computed here at
     jobs == 1, one prime at a time, so no prime is drawn ahead of the
     consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
     the misses of each batch go to one worker pool, started at the first
     miss and shut down when the stream ends or is closed.  A batch has at
     most _POOL_CHUNK * len(polys) / _MAP_CHUNK tasks, so the pool has no
-    more workers than that, whatever `jobs` asks.  (Executor.map
-    would drain the endless prime stream up front, hence the batches.)  A
-    caller that stops early closes the stream with contextlib.closing, so
-    the pool never outlives it.
+    more workers than that, whatever `jobs` asks.  The batches bound the
+    types computed ahead of the consumer (Executor.map would compute all
+    _SEARCH_FACTOR * budget up front).  A caller that stops early closes
+    the stream with contextlib.closing, so the pool never outlives it.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -115,8 +113,7 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
         pool = None
         for batch in iter(lambda: list(islice(examined, batch_size)), []):
             keys = dict.fromkeys((f, q) for q in batch for f in polys)
-            types = {key: _TYPES[key] for key in keys if key in _TYPES}
-            misses = [key for key in keys if key not in types]
+            misses = [key for key in keys if key not in _TYPES]
             if misses and jobs > 1 and pool is None:
                 workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
                 # through the module, so the lazy name above resolves
@@ -126,12 +123,9 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
                 computed = map(_type_worker, misses)
             else:
                 computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
-            for key, t in zip(misses, computed):
-                types[key] = _TYPES[key] = t
-            while len(_TYPES) > _TYPES_MAX:
-                _TYPES.popitem(last=False)
+            _TYPES.update(zip(misses, computed))
             for q in batch:
-                at_q = [types[f, q] for f in polys]
+                at_q = [_TYPES[f, q] for f in polys]
                 if None in at_q:
                     if bad is not None:
                         bad.append(q)
@@ -214,7 +208,6 @@ def _partitions(m: int, cap: int | None = None):
             yield (first,) + rest
 
 
-@functools.lru_cache(maxsize=None)
 def predict_wreath_types(n: int, m: int) -> frozenset[CycleType]:
     """Exact cycle-type set of (C_n wr S_m)^0 acting on n*m points.
 
@@ -272,6 +265,8 @@ class SymmetricCertificate:
         """Recompute every witness, and the discriminant, from scratch."""
         n = f.degree
         witnesses = (self.transitive_prime, self.primitive_prime, self.jordan_prime)
+        if not all(isinstance(w, int) for w in (*witnesses, self.jordan_cycle)):
+            return False
         try:
             if n != self.degree or not all(is_prime(p) for p in witnesses):
                 return False

@@ -104,13 +104,6 @@ class Permutation:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        _check_degree(degree)
-        return cls._wrap(IDENT256, degree)
-
-    @classmethod
     def from_cycles(cls, cycles, degree: int) -> "Permutation":
         """Product of the given disjoint cycles (1-based points)."""
         _check_degree(degree)

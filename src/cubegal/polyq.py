@@ -134,14 +134,6 @@ class PolyQ:
     def derivative(self) -> "PolyQ":
         return PolyQ(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
 
-    def eval(self, x) -> Fraction:
-        """Exact Horner evaluation."""
-        x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
 
 # -- integer-level fraction-free machinery ---------------------------------
 

@@ -246,8 +246,6 @@ def _violations(rep: evidence.LinkageReport):
 @dataclass
 class SuiteOptions:
     scan_budget: int = evidence.DEFAULT_SCAN_BUDGET
-    linkage_budget: int = evidence.DEFAULT_LINKAGE_BUDGET
-    triple_budget: int = evidence.DEFAULT_TRIPLE_BUDGET
     certify_budget: int = evidence.DEFAULT_CERTIFY_BUDGET
     jobs: int = 1
 
@@ -327,10 +325,10 @@ def _rubik_checks(opts: SuiteOptions, f: PolyQ) -> list[CheckReport]:
          "equal discriminant classes force equal Frobenius parities "
          "(f against the degree-12 companion)",
          "0 violations",
-         lambda: _violations(parity_linkage(f, q, opts.linkage_budget, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, q, jobs=opts.jobs)))
 
     def linkage_literal():
-        ok, text = _violations(parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs))
+        ok, text = _violations(parity_linkage(f, g, jobs=opts.jobs))
         if ok is not False:
             return ok, text
         return None, (f"{text}; the g-side parity is constantly +1 (disc g is "
@@ -375,7 +373,7 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run(checks, "revenge.parity_linkage_fg",
          "equal discriminant classes force equal Frobenius parities",
          "0 violations",
-         lambda: _violations(parity_linkage(f, g, opts.linkage_budget, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, g, jobs=opts.jobs)))
 
     _run_order(checks, "revenge.fiber_order_n4", "Revenge Cube", r4_predicted_order, R4_ORDER)
 
@@ -440,7 +438,7 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run_order(checks, "professor.fiber_order_n5", "Professor's Cube", r5_predicted_order,
                R5_ORDER)
 
-    h1d, h2, h3 = (trinomial_poly(u) for u in (params.u1, params.u2, params.u3))
+    h1d, h2, h3 = trinomial_poly(params.u1), professor_h2(), professor_h3()
     for name, poly in (("h1_derived", h1d), ("h2", h2), ("h3", h3)):
         _run_certify(checks, f"professor.certify_{name}_symmetric",
                      "every degree-24 trinomial factor must be full symmetric",
@@ -449,13 +447,12 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run(checks, "professor.parity_linkage_f_h1",
          "f and the derived first factor share the class 7c, forcing linked parities",
          "0 violations",
-         lambda: _violations(parity_linkage(f, h1d, opts.linkage_budget, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, h1d, jobs=opts.jobs)))
 
     _run(checks, "professor.triple_parity_linkage_f_h2_h3",
          "parity of f must equal the parity product of the h2, h3 factors",
          "0 violations",
-         lambda: _violations(triple_parity_linkage(f, h2, h3, opts.triple_budget,
-                                                   jobs=opts.jobs)))
+         lambda: _violations(triple_parity_linkage(f, h2, h3, jobs=opts.jobs)))
     return checks
 
 

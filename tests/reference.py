@@ -9,12 +9,36 @@ from functools import cache
 from itertools import permutations as iter_permutations, product
 from math import factorial
 
-from cubegal.bsgs import DEFAULT_SEED, PermutationGroup
+from cubegal.bsgs import DEFAULT_SEED, PermutationGroup, ProductReplacementSampler
 from cubegal.cubes import (StickerModel, cube_model, induced_cubie_perm,
                            piece_coordinates, sign_vector)
 from cubegal.perm import Permutation
 from cubegal.polymod import _mod_p, is_prime
 from cubegal.polyq import PolyQ, exact_str
+
+
+def identity(degree: int) -> Permutation:
+    """The identity permutation of {1..degree}."""
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    return Permutation(range(1, degree + 1))
+
+
+def random_elements(generators, seed: int):
+    """The `ProductReplacementSampler` stream over generators, as
+    permutations; draw from it with next()."""
+    gens = list(generators)
+    sampler = ProductReplacementSampler(gens, seed)
+    while True:
+        yield Permutation._wrap(sampler._step(), gens[0].degree)
+
+
+def evaluate(f: PolyQ, x) -> Fraction:
+    """f(x), exactly, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -37,7 +61,7 @@ class WreathElement:
 
     @classmethod
     def identity(cls, n: int, m: int) -> "WreathElement":
-        return cls(n, (0,) * m, Permutation.identity(m))
+        return cls(n, (0,) * m, identity(m))
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if self.modulus != other.modulus:
@@ -91,7 +115,7 @@ def superflip_abstract() -> tuple[WreathElement, WreathElement]:
     """The central element of the abstract 3x3x3 model: corners
     untouched, every edge flipped in place."""
     return (WreathElement.identity(3, 8),
-            WreathElement(2, (1,) * 12, Permutation.identity(12)))
+            WreathElement(2, (1,) * 12, identity(12)))
 
 
 def commutes_with_all(element: tuple[WreathElement, WreathElement],
@@ -116,7 +140,7 @@ def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
             closure_gens.append(s)
             seen.add(s)
     if not closure_gens:
-        return PermutationGroup([Permutation.identity(group.degree)], seed=seed)
+        return PermutationGroup([identity(group.degree)], seed=seed)
     handle = PermutationGroup(closure_gens, seed=seed)
     while True:
         new: list[Permutation] = []
@@ -177,9 +201,8 @@ class ConfigTuple:
 
     @classmethod
     def initial(cls) -> "ConfigTuple":
-        ident = Permutation.identity
-        return cls(x=(0,) * 8, sigma_c=ident(8), y=(0,) * 12, sigma_e=ident(12),
-                   tau=ident(24), rho_c=ident(24), rho_e=ident(24))
+        return cls(x=(0,) * 8, sigma_c=identity(8), y=(0,) * 12, sigma_e=identity(12),
+                   tau=identity(24), rho_c=identity(24), rho_e=identity(24))
 
 
 @cache
@@ -279,7 +302,7 @@ def superflip_permutation(model: StickerModel) -> Permutation:
     """The 3x3x3 sticker permutation flipping all twelve edges in place."""
     if model.size != 3:
         raise ValueError("the superflip lives in the 3x3x3 model")
-    return _placed(model, [("central_edges", Permutation.identity(12), (1,) * 12)])
+    return _placed(model, [("central_edges", identity(12), (1,) * 12)])
 
 
 def sign_image(model: StickerModel) -> set[tuple[int, ...]]:

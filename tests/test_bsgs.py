@@ -5,7 +5,7 @@ import pytest
 
 from cubegal.bsgs import PermutationGroup, ProductReplacementSampler
 from cubegal.perm import IDENT256, Permutation, parse_cycles
-from reference import normal_closure
+from reference import identity, normal_closure, random_elements
 
 
 def s_n_generators(n):
@@ -52,6 +52,44 @@ def test_orbit_extension_by_a_new_generator_matches_a_full_walk():
         assert group._extend_orbit(walked[0], new) == group._extend_orbit(walked[1])
         assert list(walked[0].trans.items()) == list(walked[1].trans.items())
         assert list(walked[0].invtrans.items()) == list(walked[1].invtrans.items())
+
+
+def _prune_cases():
+    from cubegal.cubes import cube_model
+    for n in (3, 4, 5):
+        yield pytest.param(lambda n=n: list(cube_model(n).generators.values()), id=f"cube{n}")
+    yield pytest.param(lambda: s_n_generators(8), id="S8")
+    yield pytest.param(lambda: [parse_cycles("(1 2 3)", 5), parse_cycles("(1 2 3 4 5)", 5)],
+                       id="A5")
+
+
+@pytest.mark.parametrize("generators", _prune_cases())
+def test_pruned_levels_keep_their_orbits_and_the_inputs(generators, monkeypatch):
+    # _prune walks each level once and keeps the generators that first
+    # reached a point: a fresh walk under them must reach the whole basic
+    # orbit, and level 0 must keep every input generator it held verbatim,
+    # so the chain's group stays the group the inputs generate
+    prune = PermutationGroup._prune
+    pruned_levels = []
+
+    def checked_prune(group, protected):
+        before = [(set(lvl.trans), set(lvl.gens)) for lvl in group._levels]
+        prune(group, protected)
+        for lvl, (orbit, _) in zip(group._levels, before, strict=True):
+            reached, todo = {lvl.point}, [lvl.point]
+            while todo:
+                beta = todo.pop()
+                for s in lvl.gens:
+                    if s[beta] not in reached:
+                        reached.add(s[beta])
+                        todo.append(s[beta])
+            assert reached == orbit == lvl.trans.keys()
+        assert protected & before[0][1] <= set(group._levels[0].gens)
+        pruned_levels.append(len(before))
+
+    monkeypatch.setattr(PermutationGroup, "_prune", checked_prune)
+    PermutationGroup(generators(), seed=1)
+    assert len(pruned_levels) == 1 and pruned_levels[0] > 0
 
 
 def _random_on(rng, n, support):
@@ -137,8 +175,8 @@ def test_chain_data_is_exact_length_and_tables_are_padded(build):
             assert len(u) == n and u[lvl.point] == gamma
             assert len(inv) == 256 and inv[n:] == IDENT256[n:]
             assert u.translate(inv) == ident
-    sampler = ProductReplacementSampler(group.generators, 5)
-    probes = [g.raw for g in group.generators] + [sampler.next().raw for _ in range(5)]
+    sampler = random_elements(group.generators, 5)
+    probes = [g.raw for g in group.generators] + [next(sampler).raw for _ in range(5)]
     probes.append(Permutation([2, 1] + list(range(3, n + 1))).raw)
     for p in probes:
         for start in (0, len(group._levels) - 1):
@@ -158,17 +196,17 @@ def test_degree_mismatch_rejected():
 
 
 def test_trivial_group():
-    g = PermutationGroup([Permutation.identity(6)])
+    g = PermutationGroup([identity(6)])
     assert g.order() == 1
-    assert g.contains(Permutation.identity(6))
+    assert g.contains(identity(6))
     assert not g.contains(parse_cycles("(1 2)", 6))
-    assert ProductReplacementSampler(g.generators, 3).next().is_identity()
+    assert next(random_elements(g.generators, 3)).is_identity()
 
 
 def test_contains_identity_and_generators():
     gens = s_n_generators(10)
     g = PermutationGroup(gens)
-    assert g.contains(Permutation.identity(10))
+    assert g.contains(identity(10))
     for x in gens:
         assert g.contains(x)
 
@@ -192,15 +230,15 @@ def test_contains_respects_subgroup():
 def test_contains_degree_mismatch():
     g = PermutationGroup(s_n_generators(5))
     with pytest.raises(ValueError):
-        g.contains(Permutation.identity(6))
+        g.contains(identity(6))
 
 
 def test_contains_closed_under_products_random():
     g = PermutationGroup([parse_cycles("(1 2 3)", 7), parse_cycles("(3 4 5 6 7)", 7)])
-    sampler = ProductReplacementSampler(g.generators, 99)
+    sampler = random_elements(g.generators, 99)
     for _ in range(30):
-        a = sampler.next()
-        b = sampler.next()
+        a = next(sampler)
+        b = next(sampler)
         assert g.contains(a * b)
         assert g.contains(a.inverse())
 
@@ -217,26 +255,26 @@ def test_cyclic_group_order_matches_element_order():
 
 def test_random_element_deterministic():
     g = PermutationGroup(s_n_generators(12))
-    assert (ProductReplacementSampler(g.generators, 42).next()
-            == ProductReplacementSampler(g.generators, 42).next())
-    stream_a = [ProductReplacementSampler(g.generators, 7).next() for _ in range(3)]
-    stream_b = [ProductReplacementSampler(g.generators, 7).next() for _ in range(3)]
+    assert (next(random_elements(g.generators, 42))
+            == next(random_elements(g.generators, 42)))
+    stream_a = [next(random_elements(g.generators, 7)) for _ in range(3)]
+    stream_b = [next(random_elements(g.generators, 7)) for _ in range(3)]
     assert stream_a == stream_b
 
 
 def test_random_elements_are_members():
     g = PermutationGroup([parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6),
                           parse_cycles("(1 4)(2 5)(3 6)", 6)])
-    sampler = ProductReplacementSampler(g.generators, 1)
+    sampler = random_elements(g.generators, 1)
     for _ in range(50):
-        assert g.contains(sampler.next())
+        assert g.contains(next(sampler))
 
 
 def test_even_fraction_of_s24_samples():
     from cubegal.evidence import EVEN_FRACTION_WINDOW
     g = PermutationGroup(s_n_generators(24))
-    sampler = ProductReplacementSampler(g.generators, 2024)
-    even = sum(1 for _ in range(10_000) if sampler.next().sign() == 1)
+    sampler = random_elements(g.generators, 2024)
+    even = sum(1 for _ in range(10_000) if next(sampler).sign() == 1)
     low, high = EVEN_FRACTION_WINDOW
     assert low <= even / 10_000 <= high
 
@@ -275,7 +313,7 @@ def test_normal_closure_of_even_part():
 
 def test_normal_closure_trivial_seeds():
     g = PermutationGroup(s_n_generators(4))
-    h = normal_closure(g, [Permutation.identity(4)])
+    h = normal_closure(g, [identity(4)])
     assert h is not None
     assert h.order() == 1
 
@@ -326,7 +364,7 @@ def test_order_and_contains_match_sympy_on_random_subgroups():
         theirs = combinatorics.PermutationGroup(
             [combinatorics.Permutation(list(g.raw)) for g in gens])
         assert ours.order() == theirs.order(), gens
-        word = Permutation.identity(n)
+        word = identity(n)
         for _ in range(5):
             word = word * rng.choice(gens)
             assert ours.contains(word)
@@ -351,8 +389,8 @@ def test_r3_order_and_contains_match_sympy():
     theirs = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(g.raw)) for g in gens])
     assert ours.order() == theirs.order() == 43252003274489856000
-    sampler = ProductReplacementSampler(ours.generators, 5)
-    a, b = sampler.next(), sampler.next()
+    sampler = random_elements(ours.generators, 5)
+    a, b = next(sampler), next(sampler)
     swap = Permutation.from_cycles([gens[0].cycles()[0][:2]], 48)
     for p in (a, a * b, swap, a * swap):
         assert ours.contains(p) == theirs.contains(combinatorics.Permutation(list(p.raw)))

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubegal.bsgs import PermutationGroup
 from cubegal.perm import Permutation
+from reference import identity
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=150,
                          deadline=None)
@@ -27,7 +28,7 @@ def subgroup_and_candidates(draw):
     for _ in range(draw(st.integers(1, 3))):
         support = draw(st.lists(st.integers(1, n), min_size=2, max_size=n, unique=True))
         gens.append(Permutation.from_cycles([tuple(support)], n))
-    member = Permutation.identity(n)
+    member = identity(n)
     for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
         member = member * gens[i]
     anything = Permutation(draw(st.permutations(range(1, n + 1))))
@@ -68,7 +69,7 @@ def test_sift_residue_and_transversal_word_give_back_the_input(case):
         word = p * residue.inverse()
         factors, rest = _transversal_factors(group, word, stick)
         assert rest.is_identity()
-        product = Permutation.identity(n)
+        product = identity(n)
         for u in factors:
             product = product * u
         assert product * residue == p

@@ -1,7 +1,6 @@
 import json
 import random
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,7 +175,7 @@ def test_verify_rubik_report_deterministic(tmp_path, capsys, monkeypatch):
     for path, jobs in ((a, "1"), (b, "1"), (c, "2")):
         if jobs == "2":
             # start cold, so the worker pool computes every type
-            monkeypatch.setattr(evidence, "_TYPES", OrderedDict())
+            monkeypatch.setattr(evidence, "_TYPES", {})
         code, _ = run_cli(capsys, "verify", "--theorem", "rubik",
                           "--primes", "25", "--jobs", jobs,
                           "--report", "json", "--out", str(path))
@@ -296,6 +295,20 @@ def test_default_jobs_counts_cpus_available_to_the_process(monkeypatch):
     assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 1
     monkeypatch.delattr("os.sched_getaffinity", raising=False)
     assert build_parser().parse_args(["order", "--cube", "3"]).jobs == 64
+
+
+def test_every_suite_setting_is_set_by_a_verify_flag(capsys, monkeypatch):
+    # a SuiteOptions field no flag sets is a setting no command uses
+    from dataclasses import fields
+
+    from cubegal import theorems
+    seen = []
+    monkeypatch.setattr(theorems, "verify_theorem", lambda which, opts: seen.append(opts) or [])
+    code, _ = run_cli(capsys, "verify", "--theorem", "rubik", "--primes", "7",
+                      "--certify-primes", "9", "--jobs", "2")
+    assert code == 0 and len(seen) == 1
+    flag_values = {"scan_budget": 7, "certify_budget": 9, "jobs": 2}
+    assert {f.name: getattr(seen[0], f.name) for f in fields(seen[0])} == flag_values
 
 
 # the reports the benchmark recorded at its seed commit; read in place, so

@@ -13,7 +13,7 @@ from cubegal.perm import CycleType
 from cubegal.polymod import primes
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import (revenge_h, rubik_f, rubik_g, rubik_g_resolvent)
-from reference import enumerate_restricted
+from reference import enumerate_restricted, evaluate
 from test_polymod import PSI_12, PSI_13
 
 
@@ -91,7 +91,7 @@ def test_square_disc_forces_even_parities():
     # disc(h1 h2) = disc h1 disc h2 res^2 with h2 a shift of h1
     h1 = PolyQ.from_coeffs([-1, -1, 0, 1])          # X^3 - X - 1
     h2 = PolyQ.from_coeffs([-1, 2, -3, 1])           # h1(X - 1)
-    assert h2.eval(2) == h1.eval(1)
+    assert evaluate(h2, 2) == evaluate(h1, 1)
     f = h1 * h2
     from cubegal.sqclass import is_square
     assert is_square(discriminant(f))
@@ -138,7 +138,7 @@ def test_certify_square_disc_short_circuits():
     from cubegal.sqclass import is_square
     q = PolyQ.from_coeffs([-1, -1, 0, 0, 1])        # X^4 - X - 1
     shifted = PolyQ.from_coeffs([1, -5, 6, -4, 1])  # q(X - 1)
-    assert all(shifted.eval(x) == q.eval(x - 1) for x in range(-3, 4))
+    assert all(evaluate(shifted, x) == evaluate(q, x - 1) for x in range(-3, 4))
     assert resultant(q, shifted) != 0
     f = q * shifted
     assert f.degree == 8
@@ -163,6 +163,10 @@ def test_certify_revalidation_rejects_tampering():
     for field in ("transitive_prime", "primitive_prime", "jordan_prime"):
         for not_prime in (9, 1, -5, PSI_12, PSI_13):
             assert not replace(cert, **{field: not_prime}).revalidate(h), (field, not_prime)
+    # a witness that is not an int is no witness either, and never a traceback
+    for field, value in (("transitive_prime", str(cert.transitive_prime)),
+                         ("jordan_prime", None), ("jordan_cycle", str(cert.jordan_cycle))):
+        assert not replace(cert, **{field: value}).revalidate(h), (field, value)
 
 
 def test_parity_linkage_reflexive():
@@ -214,10 +218,8 @@ def test_linkage_requires_separable():
 @pytest.fixture
 def cold_cache(monkeypatch):
     """A fresh, empty Frobenius-type cache for the test's duration."""
-    from collections import OrderedDict
-
     from cubegal import evidence
-    monkeypatch.setattr(evidence, "_TYPES", OrderedDict())
+    monkeypatch.setattr(evidence, "_TYPES", {})
     return evidence._TYPES
 
 

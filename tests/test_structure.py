@@ -3,14 +3,14 @@ from math import factorial
 
 import pytest
 
-from cubegal.bsgs import PermutationGroup, ProductReplacementSampler
+from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import cube_model, piece_coordinates
 from cubegal.perm import Permutation, parse_cycles
 from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, fiber_order,
                                r3_predicted_order, r4_predicted_order,
                                r5_predicted_order, restricted_wreath_order)
 from reference import (WreathElement, abelianization_order, commutes_with_all,
-                       enumerate_restricted, superflip_abstract)
+                       enumerate_restricted, identity, random_elements, superflip_abstract)
 
 
 # ((x, sigma_c), (y, sigma_e)), twists indexed by target position as in the wreath law
@@ -54,8 +54,8 @@ def test_wreath_action_is_homomorphism():
 
 
 def test_restricted_membership_flag():
-    assert WreathElement(3, (1, 2, 0), Permutation.identity(3)).in_restricted
-    assert not WreathElement(3, (1, 0, 0), Permutation.identity(3)).in_restricted
+    assert WreathElement(3, (1, 2, 0), identity(3)).in_restricted
+    assert not WreathElement(3, (1, 0, 0), identity(3)).in_restricted
 
 
 def test_restricted_wreath_order_formula():
@@ -123,9 +123,9 @@ def test_decoded_generators_respect_fiber_conditions():
 
 def test_decoding_is_a_homomorphism():
     m3 = cube_model(3)
-    sampler = ProductReplacementSampler(m3.generators.values(), 21)
+    sampler = random_elements(m3.generators.values(), 21)
     for _ in range(10):
-        p, q = sampler.next(), sampler.next()
+        p, q = next(sampler), next(sampler)
         pc, pe = decode(m3, p)
         qc, qe = decode(m3, q)
         rc, re = decode(m3, p * q)

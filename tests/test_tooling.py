@@ -149,7 +149,6 @@ _UNCALLED_ALLOWED = {
     "evidence.MIN_DISTINCT_TYPES_S24": "statistical window the ROADMAP pins in evidence",
     "evidence.EVEN_FRACTION_WINDOW": "statistical window the ROADMAP pins in evidence",
     "theorems.professor_h1_stated": "the paper's named factor, as stated",
-    "theorems.professor_h3": "the paper's named factor",
 }
 
 
@@ -161,10 +160,20 @@ def _spelled(tree) -> set:
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias, ast.Constant))}
 
 
+def _attributes(tree) -> set:
+    """The attribute names and string constants of a syntax tree: how a
+    method is reached.  A bare name (the builtin next) reaches none."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def test_every_public_name_has_a_command_or_benchmark_caller():
     # a name only the tests use belongs in tests/reference.py.  A top-level
-    # statement uses the names it spells; no name is bound in two modules
-    module_of, uses = {}, {}
+    # statement uses the names it spells; no name is bound in two modules.
+    # A public method is used when a kept statement or a benchmark file
+    # spells it as an attribute
+    module_of, uses, attributes, methods = {}, {}, {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             names = [stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else [
@@ -173,8 +182,14 @@ def test_every_public_name_has_a_command_or_benchmark_caller():
             for name in names:
                 assert module_of.setdefault(name, path.stem) == path.stem
                 uses.setdefault(name, set()).update(_spelled(stmt))
-    named = set().union(*(_spelled(ast.parse(path.read_text(encoding="utf-8")))
-                          for path in (ROOT / "benchmarks").glob("*.py")))
+                attributes.setdefault(name, set()).update(_attributes(stmt))
+            if isinstance(stmt, ast.ClassDef):
+                methods.update({f"{path.stem}.{stmt.name}.{m.name}": m.name for m in stmt.body
+                                if isinstance(m, ast.FunctionDef)
+                                and not m.name.startswith("_")})
+    benchmarks = [ast.parse(path.read_text(encoding="utf-8"))
+                  for path in (ROOT / "benchmarks").glob("*.py")]
+    named = set().union(*map(_spelled, benchmarks))
     todo = ["main", *(uses.keys() & named)]
     reached = set()
     while todo:
@@ -185,3 +200,6 @@ def test_every_public_name_has_a_command_or_benchmark_caller():
     assert {f"_cmd_{c}" for c in ("order", "gens", "disc", "frobenius", "verify")} <= reached
     uncalled = {f"{module_of[n]}.{n}" for n in uses.keys() - reached if not n.startswith("_")}
     assert uncalled == set(_UNCALLED_ALLOWED)
+    kept = reached | {name.split(".")[1] for name in _UNCALLED_ALLOWED}
+    spelled = set().union(*map(_attributes, benchmarks), *(attributes[n] for n in kept))
+    assert {m for m, name in methods.items() if name not in spelled} == set()
