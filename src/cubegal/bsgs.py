@@ -1,18 +1,33 @@
 """Base and strong generating sets for permutation groups.
 
 Construction is randomized Schreier-Sims on `ProductReplacementSampler`
-elements, then a deterministic verification pass with repair.  At each
-level i, with generator set S_i and base point b_i, the pass sifts every
-Schreier generator of S_i with respect to b_i through the levels below,
-which proves that the stabilizer of b_i in <S_i> lies in the chain below.
-The levels are not nested: `_prune` rebuilds each level from one orbit
-walk of its own, so a deeper level may hold generators that level i lacks,
-and the pass is not the full Schreier-Sims criterion.  What it leaves
-proved: a membership test that answers yes (the element is a product of
-transversal words), and the order as a lower bound (the product of the
-basic orbit sizes counts distinct group elements).  The full criterion,
-over the union of the generators at levels >= i, is checked for the
-three cube chains (and a second seed for R3 and R4) by
+elements.  Every transversal element is a product of sift residues of
+group elements, and the products u_1 u_2 ... u_k of one transversal
+element per level are pairwise distinct, so the product L of the basic
+orbit sizes is a lower bound on |G|.  What a build proves depends on
+whether the caller gives an upper bound U on |G| that it has proved by
+other means (`cubes.order_bound` does so for the cube groups):
+
+- with a bound, the random phase stops as soon as L reaches U.  Then
+  L <= |G| <= U = L, so |G| = L, every element of G is one of those
+  products, and the membership test is exact; no verification pass
+  runs.  A chain whose L exceeds U shows that U was false, and the
+  build raises ArithmeticError;
+- without a bound, or with one that the random phase does not reach
+  before `_CLEAN_SIFTS` consecutive sifts add nothing, the chain is
+  pruned and a deterministic verification pass with repair runs.  At
+  each level i, with generator set S_i and base point b_i, the pass
+  sifts every Schreier generator of S_i with respect to b_i through the
+  levels below, which proves that the stabilizer of b_i in <S_i> lies
+  in the chain below.  The levels are not nested: `_prune` rebuilds
+  each level from one orbit walk of its own, so a deeper level may hold
+  generators that level i lacks, and the pass is not the full
+  Schreier-Sims criterion.  What it leaves proved: a membership test
+  that answers yes (the element is a product of transversal words), and
+  the order as a lower bound.
+
+The full criterion, over the union of the generators at levels >= i, is
+checked for the three cube chains (and a second seed for R3 and R4) by
 `tests/test_bsgs.py`.
 
 All orders are exact arbitrary-precision integers.  The chain works on
@@ -92,9 +107,9 @@ class ProductReplacementSampler:
 class PermutationGroup:
     """A generated permutation group with a base and strong generating
     set, checked as the module docstring states: order and membership
-    test."""
+    test.  `bound`, when given, is a proved upper bound on the order."""
 
-    def __init__(self, generators, seed: int = DEFAULT_SEED):
+    def __init__(self, generators, seed: int = DEFAULT_SEED, bound: int | None = None):
         gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
@@ -105,10 +120,10 @@ class PermutationGroup:
         self.generators: list[Permutation] = gens
         self._ident = IDENT256[:degree]
         self._levels: list[_Level] = []
-        self._build(seed)
-        self._order = 1
-        for lvl in self._levels:
-            self._order *= len(lvl.trans)
+        self._build(seed, bound)
+        self._order = self._orbit_product()
+        if bound is not None and self._order > bound:
+            raise ArithmeticError("the chain holds more elements than the proved upper bound")
         for g in self.generators:
             if not self.contains(g):
                 raise AssertionError("strong generating set rejects an input generator")
@@ -226,17 +241,35 @@ class PermutationGroup:
                 grew = True
         return grew
 
-    def _build(self, seed: int):
+    def _orbit_product(self) -> int:
+        product = 1
+        for lvl in self._levels:
+            product *= len(lvl.trans)
+        return product
+
+    def _reached(self, bound: int | None) -> bool:
+        """Whether the orbit product has met the upper bound: the order is
+        then proved (or, past it, the bound is refuted)."""
+        return bound is not None and self._orbit_product() >= bound
+
+    def _build(self, seed: int, bound: int | None):
         inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
         if not inputs:
             return  # trivial group: empty chain, order 1
         raw_gens = [g.raw for g in inputs]
         while self._adjoin(raw_gens):
             pass
+        if self._reached(bound):
+            return
         sampler = ProductReplacementSampler(inputs, seed)
         clean = 0
         while clean < _CLEAN_SIFTS:
-            clean = 0 if self._adjoin((sampler._step()[:self.degree],)) else clean + 1
+            if not self._adjoin((sampler._step()[:self.degree],)):
+                clean += 1
+            elif self._reached(bound):
+                return
+            else:
+                clean = 0
         self._prune({g._img for g in inputs})
         # verify, then make sure the checked group is still the group the
         # inputs generate (pruning could in principle drop span-essential

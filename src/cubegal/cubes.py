@@ -17,8 +17,11 @@ model once per process.
 
 One decoder, `piece_coordinates`, reads how a sticker permutation moves
 and turns the pieces of a class; induced piece permutations, sign
-vectors and orientation sums are read off it.  No command calls these
-four decoders yet: they are the inputs of the fiber-product proof.
+vectors and orientation sums are read off it.  `order_bound` runs the
+four decoders on the generators alone to prove an upper bound on the
+group's order, and `StickerModel.group` hands that bound to the chain
+construction, which then proves the exact order without a verification
+pass (see `bsgs`).
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache
+from math import factorial
 
 from .bsgs import PermutationGroup
 from .perm import Permutation, block_system, orbits, parse_cycles, print_cycles
+from .structure import restricted_wreath_order
 
 # One permutation per move, cycle notation on the labels 1..144.
 # rN/bN/dN/uN/lN/fN turn the right/back/down/up/left/front layer; the
@@ -94,6 +99,9 @@ _CLASS_SIZES = {"corners": 24, "central_edges": 24, "wings": 48,
 _BLOCK_SIZES = {"corners": 3, "central_edges": 2, "wings": 2,
                 "plus_centers": 1, "x_centers": 1}
 
+# the classes whose pieces carry an orientation with a conserved total
+_TWISTED = ("corners", "central_edges")
+
 
 def canonical_table_text() -> str:
     return "\n".join(f"{name}={cycles}" for name, cycles in GENERATOR_TABLES.items()) + "\n"
@@ -136,7 +144,8 @@ class StickerModel:
     chirality, so twist sums are well defined); for central edges, the
     reference sticker first; for wings, the two chiral sides in orbit
     order; centers are singletons.  Blocks are listed sorted by their
-    least sticker.
+    least sticker, and the classes in their canonical order
+    (`class_order`).
     """
 
     size: int
@@ -149,12 +158,12 @@ class StickerModel:
 
     @property
     def class_order(self) -> tuple[str, ...]:
-        return CLASS_ORDER[self.size]
+        return tuple(self.blocks)
 
     def group(self, seed: int = 1) -> PermutationGroup:
         if seed not in self._group_cache:
             self._group_cache[seed] = PermutationGroup(
-                list(self.generators.values()), seed=seed)
+                list(self.generators.values()), seed=seed, bound=order_bound(self))
         return self._group_cache[seed]
 
 
@@ -428,7 +437,7 @@ def piece_coordinates(model: StickerModel, p: Permutation, class_name: str):
 def orientation_sum(model: StickerModel, p: Permutation, class_name: str) -> int:
     """Total twist of p on a class, mod the block size (3 for corners,
     2 for central edges), relative to the stored reference markings."""
-    if class_name not in ("corners", "central_edges"):
+    if class_name not in _TWISTED:
         raise ValueError("orientation is defined for corners and central edges")
     _, offsets = piece_coordinates(model, p, class_name)
     return sum(offsets) % len(model.blocks[class_name][0])
@@ -439,3 +448,52 @@ def sign_vector(model: StickerModel, p: Permutation) -> tuple[int, ...]:
     model's canonical class order."""
     return tuple(induced_cubie_perm(model, p, name).sign()
                  for name in model.class_order)
+
+
+def order_bound(model: StickerModel) -> int | None:
+    """An upper bound on the order of the model's group, proved from its
+    generators alone, or None when one of the checks below fails.
+
+    The proof, one step per check, is in `notes/decisions.md` ("An upper
+    bound on a cube group's order"); its step 6 is `bsgs`'s lower bound:
+
+    1. class invariance: the classes' blocks cover the stickers
+       1..degree exactly once, and each class has at least two blocks of
+       one size;
+    2. every generator decodes on every class (`piece_coordinates`), so
+       the group acts on a class of m blocks of size s inside C_s wr S_m;
+    3. on corners and central edges every generator's twist sum is 0
+       (`orientation_sum`), so the class group lies in (C_s wr S_m)^0;
+    4. on every other class every offset is 0, so the class group lies in
+       a copy of S_m;
+    5. the generators' sign vectors (`sign_vector`) span V in F2^k, k the
+       number of classes, and the group lies in the sign fiber over V,
+       of index 2^(k - dim V) in the product of the class groups.
+    """
+    gens = list(model.generators.values())
+    stickers = sorted(s for blocks in model.blocks.values() for block in blocks for s in block)
+    if stickers != list(range(1, model.degree + 1)) or any(
+            g.degree != model.degree for g in gens):
+        return None
+    bound = 1
+    try:
+        for name, blocks in model.blocks.items():
+            size, count = len(blocks[0]), len(blocks)
+            if count < 2 or any(len(block) != size for block in blocks):
+                return None
+            if name in _TWISTED:
+                if any(orientation_sum(model, g, name) for g in gens):
+                    return None
+                bound *= restricted_wreath_order(size, count)
+            else:
+                if any(any(piece_coordinates(model, g, name)[1]) for g in gens):
+                    return None
+                bound *= factorial(count)
+        span = {0}
+        for g in gens:
+            bits = sum(1 << i for i, sign in enumerate(sign_vector(model, g)) if sign < 0)
+            if bits not in span:
+                span |= {x ^ bits for x in span}
+    except ValueError:
+        return None
+    return bound * len(span) // 2 ** len(model.blocks)

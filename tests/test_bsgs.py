@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import factorial, lcm
 
@@ -112,9 +113,11 @@ def test_order_equals_product_of_basic_orbits():
 @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (5, 1), (3, 4242), (4, 4242)],
                          ids=["3", "4", "5", "3-seed4242", "4-seed4242"])
 def test_cube_chains_meet_the_nested_schreier_criterion(n, seed):
-    # _prune rebuilds every level from its own orbit walk, so a deeper level
-    # may hold generators that the level above lacks, and _check_level(i)
-    # covers only level i's own generators.  The textbook criterion takes,
+    # The cube chains stop at their structural bound, before _prune, and
+    # this checks them against the criterion that does not rest on the
+    # bound.  (On a pruned chain a deeper level may hold generators that
+    # the level above lacks, and _check_level(i) covers only level i's own
+    # generators.)  The textbook criterion takes,
     # at each level i, the union T_i of the generators at levels >= i: each
     # fixes the earlier base points and maps the basic orbit into itself,
     # and every Schreier generator u_d t u_(dt)^-1 sifts to the identity
@@ -144,6 +147,63 @@ def test_cube_chains_meet_the_nested_schreier_criterion(n, seed):
                     failures.append((i, "sift", delta))
     assert failures == []
     assert sifts > 0
+
+
+def _spy(monkeypatch, *names):
+    """Record every call of the named PermutationGroup methods."""
+    calls = []
+    for name in names:
+        def spy(group, *args, _name=name, _method=getattr(PermutationGroup, name)):
+            calls.append(_name)
+            return _method(group, *args)
+        monkeypatch.setattr(PermutationGroup, name, spy)
+    return calls
+
+
+def test_a_bound_below_the_order_raises():
+    with pytest.raises(ArithmeticError):
+        PermutationGroup(s_n_generators(5), bound=100)
+
+
+def test_an_unreached_bound_falls_back_to_the_verification_pass(monkeypatch):
+    calls = _spy(monkeypatch, "_verify")
+    assert PermutationGroup(s_n_generators(5), bound=240).order() == 120
+    assert "_verify" in calls
+
+
+def test_a_reached_bound_skips_pruning_and_verification(monkeypatch):
+    calls = _spy(monkeypatch, "_prune", "_verify")
+    assert PermutationGroup(s_n_generators(5), bound=120).order() == 120
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [1, 4242, 2718])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cube_groups_are_proved_by_their_bound_alone(n, seed, monkeypatch):
+    # the orbit product meets cubes.order_bound, so neither the pass nor
+    # its level check runs, and membership is exact both ways
+    from cubegal.cubes import cube_model
+    from cubegal.structure import R3_ORDER, R4_ORDER, R5_ORDER
+    model = dataclasses.replace(cube_model(n), _group_cache={})
+    calls = _spy(monkeypatch, "_verify", "_check_level")
+    group = model.group(seed)
+    assert calls == []
+    assert group.order() == {3: R3_ORDER, 4: R4_ORDER, 5: R5_ORDER}[n]
+    gens = list(model.generators.values())
+    rng = random.Random(seed)
+    for _ in range(50):
+        word = identity(model.degree)
+        for _ in range(rng.randrange(1, 30)):
+            word = word * rng.choice(gens)
+        assert group.contains(word)
+    # micro.py's non-member: point 1 swapped with the first point outside
+    # its generator orbit
+    orbit, frontier = {0}, [0]
+    while frontier:
+        frontier = [g.raw[x] for x in frontier for g in gens if g.raw[x] not in orbit]
+        orbit.update(frontier)
+    outside = next(i for i in range(model.degree) if i not in orbit)
+    assert not group.contains(parse_cycles(f"(1 {outside + 1})", model.degree))
 
 
 def _representation_cases():

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
+from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, canonical_table_text,
-                           cube_model, induced_cubie_perm, load_net,
+                           cube_model, induced_cubie_perm, load_net, order_bound,
                            orientation_sum, sign_vector)
 from cubegal.perm import Permutation, orbits, parse_cycles
+from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
+                               r4_predicted_order, r5_predicted_order)
 from reference import (ConfigTuple, decode_config, encode_config, identity, random_elements,
                        sign_assignment, sign_image, superflip_permutation, validity_check)
 
@@ -287,3 +291,61 @@ def test_corner_sticker_transposition_not_a_member():
     b = sorted(m5.classes["corners"])[2]
     across_blocks = parse_cycles(f"({a} {b})", 144)
     assert not group.contains(across_blocks)
+
+
+# -- the structural upper bound on the group order ----------------------------
+
+
+@pytest.mark.parametrize("n,exact,predicted", [(3, R3_ORDER, r3_predicted_order),
+                                               (4, R4_ORDER, r4_predicted_order),
+                                               (5, R5_ORDER, r5_predicted_order)])
+def test_order_bound_equals_the_exact_and_predicted_orders(n, exact, predicted):
+    assert order_bound(cube_model(n)) == exact == predicted()
+
+
+def _with_cycle(model, name, cycle):
+    """A copy of model whose generator `name` is composed with one extra
+    cycle of stickers; it caches no group."""
+    gens = dict(model.generators)
+    gens[name] = gens[name] * parse_cycles("(" + " ".join(map(str, cycle)) + ")",
+                                           model.degree)
+    return dataclasses.replace(model, generators=gens, _group_cache={})
+
+
+def _tampered_models():
+    yield pytest.param(lambda: _with_cycle(cube_model(3), "r",
+                                           cube_model(3).blocks["corners"][0]),
+                       id="corner-twist")
+    yield pytest.param(lambda: _with_cycle(cube_model(3), "r",
+                                           cube_model(3).blocks["central_edges"][0]),
+                       id="edge-flip")
+    yield pytest.param(lambda: _with_cycle(cube_model(4), "r1",
+                                           cube_model(4).blocks["wings"][0]),
+                       id="wing-swap")
+    yield pytest.param(lambda: dataclasses.replace(
+        cube_model(4), _group_cache={},
+        blocks={k: v for k, v in cube_model(4).blocks.items() if k != "x_centers"}),
+        id="dropped-class")
+
+
+@pytest.mark.parametrize("tampered", _tampered_models())
+def test_order_bound_rejects_a_tampered_model(tampered):
+    # a lone corner twist, a lone edge flip and a turned wing each break a
+    # per-generator check; a dropped class leaves stickers uncovered
+    assert order_bound(tampered()) is None
+
+
+def test_a_model_without_a_bound_falls_back_to_the_verification_pass(monkeypatch):
+    verify = PermutationGroup._verify
+    calls = []
+
+    def spy(group):
+        calls.append(group.degree)
+        verify(group)
+
+    monkeypatch.setattr(PermutationGroup, "_verify", spy)
+    twisted = _with_cycle(cube_model(3), "r", cube_model(3).blocks["corners"][0])
+    group = twisted.group()
+    assert calls == [48]
+    # the lone twist frees the corner twist sum: the whole of C3 wr S8
+    assert group.order() == 3 * R3_ORDER

@@ -142,10 +142,6 @@ def test_theorems_loads_neither_the_group_engine_nor_the_sticker_models():
 
 # public names no command and no benchmark file uses, each kept for a reason
 _UNCALLED_ALLOWED = {
-    "cubes.piece_coordinates": "decoder for the fiber-product proof, ROADMAP item 2",
-    "cubes.induced_cubie_perm": "decoder for the fiber-product proof, ROADMAP item 2",
-    "cubes.orientation_sum": "decoder for the fiber-product proof, ROADMAP item 2",
-    "cubes.sign_vector": "decoder for the fiber-product proof, ROADMAP item 2",
     "evidence.MIN_DISTINCT_TYPES_S24": "statistical window the ROADMAP pins in evidence",
     "evidence.EVEN_FRACTION_WINDOW": "statistical window the ROADMAP pins in evidence",
     "theorems.professor_h1_stated": "the paper's named factor, as stated",
