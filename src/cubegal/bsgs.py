@@ -120,8 +120,10 @@ class PermutationGroup:
         self.generators: list[Permutation] = gens
         self._ident = IDENT256[:degree]
         self._levels: list[_Level] = []
+        # the product of the basic orbit sizes, kept up to date as
+        # `_add_strong` grows the orbits; the order once built
+        self._order = 1
         self._build(seed, bound)
-        self._order = self._orbit_product()
         if bound is not None and self._order > bound:
             raise ArithmeticError("the chain holds more elements than the proved upper bound")
         for g in self.generators:
@@ -186,9 +188,14 @@ class PermutationGroup:
         When the orbit is already closed under every generator but the
         last one, `new`, the first round applies only `new` to it: the
         other generators would find nothing, so the transversals come out
-        the same and in the same order.
+        the same and in the same order.  That round first maps the whole
+        orbit through `new` with one ``translate``; when every image is
+        already in the orbit, it reaches no new point and the orbit stays
+        closed, so the call returns at once.
         """
         trans = lvl.trans
+        if new is not None and trans.keys() >= set(bytes(trans).translate(new)):
+            return []
         invtrans = lvl.invtrans
         ident = trans[lvl.point]
         frontier = list(trans)
@@ -228,7 +235,10 @@ class PermutationGroup:
         for i in range(stick + 1):
             lvl = self._levels[i]
             lvl.gens.append(g)
+            before = len(lvl.trans)
             self._extend_orbit(lvl, g)
+            if len(lvl.trans) != before:
+                self._order = self._order // before * len(lvl.trans)
 
     def _adjoin(self, gens) -> bool:
         """Sift each of the data gens and adjoin every nontrivial residue;
@@ -241,16 +251,10 @@ class PermutationGroup:
                 grew = True
         return grew
 
-    def _orbit_product(self) -> int:
-        product = 1
-        for lvl in self._levels:
-            product *= len(lvl.trans)
-        return product
-
     def _reached(self, bound: int | None) -> bool:
         """Whether the orbit product has met the upper bound: the order is
         then proved (or, past it, the bound is refuted)."""
-        return bound is not None and self._orbit_product() >= bound
+        return bound is not None and self._order >= bound
 
     def _build(self, seed: int, bound: int | None):
         inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
@@ -289,7 +293,8 @@ class PermutationGroup:
         walk's transversals are kept: each tree edge is labelled by the
         generator that first reached its point, so every transversal word
         is one in the kept generators.  Input generators are never dropped
-        from the top level: the chain's group must stay theirs.
+        from the top level: the chain's group must stay theirs.  Each walk
+        closes the same orbit again, so the orbit product stays as it is.
         """
         for depth, lvl in enumerate(self._levels):
             pruned = _Level(lvl.point, self._ident, lvl.gens)

@@ -101,18 +101,21 @@ def _cmd_order(args) -> int:
     expected = {3: R3_ORDER, 4: R4_ORDER, 5: R5_ORDER}[args.cube]
     model = cube_model(args.cube)
     start = time.perf_counter()
-    order = model.group(seed=args.seed).order()
+    try:
+        actual = str(model.group(seed=args.seed).order())
+    except ArithmeticError as exc:  # the chain refuted the proved upper bound
+        actual = f"error: {exc}"
     ms = int((time.perf_counter() - start) * 1000)
     check = CheckReport(
         check_id=f"order.cube{args.cube}",
-        status="pass" if order == expected else "fail",
+        status="pass" if actual == str(expected) else "fail",
         expected=str(expected),
-        actual=str(order),
+        actual=actual,
         citation=f"verified base-and-strong-generating-set order, {args.cube}x"
                  f"{args.cube}x{args.cube} cube, against the exact digits",
         ms=ms,
     )
-    return _emit(args, [str(order)], [check])
+    return _emit(args, [actual], [check])
 
 
 def _cmd_gens(args) -> int:

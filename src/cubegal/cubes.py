@@ -16,10 +16,10 @@ and central-edge stickers, relabeled 1..48.  `cube_model` builds each
 model once per process.
 
 One decoder, `piece_coordinates`, reads how a sticker permutation moves
-and turns the pieces of a class; induced piece permutations, sign
-vectors and orientation sums are read off it.  `order_bound` runs the
-four decoders on the generators alone to prove an upper bound on the
-group's order, and `StickerModel.group` hands that bound to the chain
+and turns the pieces of a class: the induced piece permutation, its
+sign and the orientation offsets are read off it.  `order_bound` decodes
+each generator once per class to prove an upper bound on the group's
+order, and `StickerModel.group` hands that bound to the chain
 construction, which then proves the exact order without a verification
 pass (see `bsgs`).
 """
@@ -27,7 +27,6 @@ pass (see `bsgs`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from math import factorial
 
@@ -134,7 +133,6 @@ def _grid_class(r: int, c: int) -> str:
     return "x_centers"
 
 
-@dataclass
 class StickerModel:
     """A cube group presented on its stickers, with piece structure.
 
@@ -145,16 +143,23 @@ class StickerModel:
     reference sticker first; for wings, the two chiral sides in orbit
     order; centers are singletons.  Blocks are listed sorted by their
     least sticker, and the classes in their canonical order
-    (`class_order`).
+    (`class_order`).  A plain class, not a dataclass, so that `order`
+    and `gens` start without importing `dataclasses`.
     """
 
-    size: int
-    degree: int
-    generators: dict[str, Permutation]
-    classes: dict[str, frozenset[int]]
-    blocks: dict[str, tuple[tuple[int, ...], ...]]
-    source_text: dict[str, str]
-    _group_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, size: int, degree: int, generators: dict[str, Permutation],
+                 classes: dict[str, frozenset[int]],
+                 blocks: dict[str, tuple[tuple[int, ...], ...]], source_text: dict[str, str]):
+        self.size = size
+        self.degree = degree
+        self.generators = generators
+        self.classes = classes
+        self.blocks = blocks
+        self.source_text = source_text
+        # sticker -> index of its block, one map per class, for the decoder
+        self._block_index = {name: {s: i for i, block in enumerate(class_blocks) for s in block}
+                             for name, class_blocks in blocks.items()}
+        self._group_cache: dict[int, PermutationGroup] = {}
 
     @property
     def class_order(self) -> tuple[str, ...]:
@@ -397,12 +402,7 @@ def cube_model(size: int) -> StickerModel:
     return builders[size]()
 
 
-# -- induced piece permutations and orientation coordinates -------------------
-
-
-def induced_cubie_perm(model: StickerModel, p: Permutation, class_name: str) -> Permutation:
-    """Permutation induced on the physical pieces of one class."""
-    return piece_coordinates(model, p, class_name)[0]
+# -- piece coordinates and the order bound ------------------------------------
 
 
 def piece_coordinates(model: StickerModel, p: Permutation, class_name: str):
@@ -416,7 +416,7 @@ def piece_coordinates(model: StickerModel, p: Permutation, class_name: str):
     piece or reflects one) and a ValueError is raised.
     """
     blocks = model.blocks[class_name]
-    index = {s: i for i, block in enumerate(blocks) for s in block}
+    index = model._block_index[class_name]
     size = len(blocks[0])
     images = [0] * len(blocks)
     offsets = [0] * len(blocks)
@@ -434,41 +434,28 @@ def piece_coordinates(model: StickerModel, p: Permutation, class_name: str):
     return Permutation(images), tuple(offsets)
 
 
-def orientation_sum(model: StickerModel, p: Permutation, class_name: str) -> int:
-    """Total twist of p on a class, mod the block size (3 for corners,
-    2 for central edges), relative to the stored reference markings."""
-    if class_name not in _TWISTED:
-        raise ValueError("orientation is defined for corners and central edges")
-    _, offsets = piece_coordinates(model, p, class_name)
-    return sum(offsets) % len(model.blocks[class_name][0])
-
-
-def sign_vector(model: StickerModel, p: Permutation) -> tuple[int, ...]:
-    """Signs of the induced piece permutations, one per class in the
-    model's canonical class order."""
-    return tuple(induced_cubie_perm(model, p, name).sign()
-                 for name in model.class_order)
-
-
 def order_bound(model: StickerModel) -> int | None:
     """An upper bound on the order of the model's group, proved from its
     generators alone, or None when one of the checks below fails.
 
     The proof, one step per check, is in `notes/decisions.md` ("An upper
-    bound on a cube group's order"); its step 6 is `bsgs`'s lower bound:
+    bound on a cube group's order"); its step 6 is `bsgs`'s lower bound.
+    Each generator is decoded once per class (`piece_coordinates`), and
+    steps 2-5 read that one decoding:
 
     1. class invariance: the classes' blocks cover the stickers
        1..degree exactly once, and each class has at least two blocks of
        one size;
-    2. every generator decodes on every class (`piece_coordinates`), so
-       the group acts on a class of m blocks of size s inside C_s wr S_m;
-    3. on corners and central edges every generator's twist sum is 0
-       (`orientation_sum`), so the class group lies in (C_s wr S_m)^0;
+    2. every generator decodes on every class, so the group acts on a
+       class of m blocks of size s inside C_s wr S_m;
+    3. on corners and central edges every generator's twist sum (its
+       offsets' sum mod s) is 0, so the class group lies in (C_s wr S_m)^0;
     4. on every other class every offset is 0, so the class group lies in
        a copy of S_m;
-    5. the generators' sign vectors (`sign_vector`) span V in F2^k, k the
-       number of classes, and the group lies in the sign fiber over V,
-       of index 2^(k - dim V) in the product of the class groups.
+    5. the generators' sign vectors (the signs of their induced block
+       permutations, one per class) span V in F2^k, k the number of
+       classes, and the group lies in the sign fiber over V, of index
+       2^(k - dim V) in the product of the class groups.
     """
     gens = list(model.generators.values())
     stickers = sorted(s for blocks in model.blocks.values() for block in blocks for s in block)
@@ -476,24 +463,25 @@ def order_bound(model: StickerModel) -> int | None:
             g.degree != model.degree for g in gens):
         return None
     bound = 1
+    odd = [0] * len(gens)  # per generator, bit c set when its class-c sign is -1
     try:
-        for name, blocks in model.blocks.items():
+        for bit, name in enumerate(model.class_order):
+            blocks = model.blocks[name]
             size, count = len(blocks[0]), len(blocks)
             if count < 2 or any(len(block) != size for block in blocks):
                 return None
-            if name in _TWISTED:
-                if any(orientation_sum(model, g, name) for g in gens):
+            twisted = name in _TWISTED
+            for i, g in enumerate(gens):
+                perm, offsets = piece_coordinates(model, g, name)
+                if sum(offsets) % size if twisted else any(offsets):
                     return None
-                bound *= restricted_wreath_order(size, count)
-            else:
-                if any(any(piece_coordinates(model, g, name)[1]) for g in gens):
-                    return None
-                bound *= factorial(count)
-        span = {0}
-        for g in gens:
-            bits = sum(1 << i for i, sign in enumerate(sign_vector(model, g)) if sign < 0)
-            if bits not in span:
-                span |= {x ^ bits for x in span}
+                if perm.sign() < 0:
+                    odd[i] |= 1 << bit
+            bound *= restricted_wreath_order(size, count) if twisted else factorial(count)
     except ValueError:
         return None
+    span = {0}
+    for bits in odd:
+        if bits not in span:
+            span |= {x ^ bits for x in span}
     return bound * len(span) // 2 ** len(model.blocks)

@@ -26,7 +26,7 @@ its output.  ``orbits`` and ``block_system`` share one union-find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import lcm
 
 MAX_DEGREE = 256
@@ -38,21 +38,50 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"degree {degree} exceeds {MAX_DEGREE}")
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class CycleType:
     """Multiset of cycle lengths, fixed points included as 1s.
 
     This is the shared observable for group elements and for Frobenius
-    classes read off from factor degrees mod p.
+    classes read off from factor degrees mod p.  Immutable; `parts` is
+    sorted in decreasing order, and equality, hashing and ordering are
+    those of `parts`.  A plain class, not a dataclass, so that `order`
+    and `gens` start without importing `dataclasses`.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(part < 1 for part in self.parts):
+    def __init__(self, parts: tuple[int, ...]):
+        if any(part < 1 for part in parts):
             raise ValueError("cycle type parts must be positive")
-        ordered = tuple(sorted(self.parts, reverse=True))
-        object.__setattr__(self, "parts", ordered)
+        object.__setattr__(self, "parts", tuple(sorted(parts, reverse=True)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pool workers return cycle types; rebuild through the constructor
+        return CycleType, (self.parts,)
+
+    def __repr__(self) -> str:
+        return f"CycleType(parts={self.parts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CycleType:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        # the hash of the dataclass this replaced, so set orders stay put
+        return hash((self.parts,))
+
+    def __lt__(self, other):
+        if other.__class__ is not CycleType:
+            return NotImplemented
+        return self.parts < other.parts
 
     @property
     def degree(self) -> int:

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class CheckReport:
-    """One verified claim: identifier, outcome, exact values, citation."""
+    """One verified claim: identifier, outcome, exact values, citation.
 
-    check_id: str
-    status: str  # pass | fail | skip | inconclusive
-    expected: str
-    actual: str
-    citation: str
-    ms: int = 0
+    A plain class, not a dataclass, so that `order` starts without
+    importing `dataclasses`.
+    """
+
+    __slots__ = ("check_id", "status", "expected", "actual", "citation", "ms")
+
+    def __init__(self, check_id: str, status: str, expected: str, actual: str,
+                 citation: str, ms: int = 0):
+        self.check_id = check_id
+        self.status = status  # pass | fail | skip | inconclusive
+        self.expected = expected
+        self.actual = actual
+        self.citation = citation
+        self.ms = ms
 
     def as_dict(self) -> dict:
         return {

@@ -10,8 +10,7 @@ from itertools import permutations as iter_permutations, product
 from math import factorial
 
 from cubegal.bsgs import DEFAULT_SEED, PermutationGroup, ProductReplacementSampler
-from cubegal.cubes import (StickerModel, cube_model, induced_cubie_perm,
-                           piece_coordinates, sign_vector)
+from cubegal.cubes import _TWISTED, StickerModel, cube_model, piece_coordinates
 from cubegal.perm import Permutation
 from cubegal.polymod import _mod_p, is_prime
 from cubegal.polyq import PolyQ, exact_str
@@ -31,6 +30,37 @@ def random_elements(generators, seed: int):
     sampler = ProductReplacementSampler(gens, seed)
     while True:
         yield Permutation._wrap(sampler._step(), gens[0].degree)
+
+
+def copy_model(model: StickerModel, **changes) -> StickerModel:
+    """A copy of model with the named constructor fields replaced; the
+    copy has caches of its own and holds no group yet."""
+    fields = {"size": model.size, "degree": model.degree, "generators": model.generators,
+              "classes": model.classes, "blocks": model.blocks,
+              "source_text": model.source_text}
+    fields.update(changes)
+    return StickerModel(**fields)
+
+
+def induced_cubie_perm(model: StickerModel, p: Permutation, class_name: str) -> Permutation:
+    """Permutation induced on the physical pieces of one class."""
+    return piece_coordinates(model, p, class_name)[0]
+
+
+def orientation_sum(model: StickerModel, p: Permutation, class_name: str) -> int:
+    """Total twist of p on a class, mod the block size (3 for corners,
+    2 for central edges), relative to the stored reference markings."""
+    if class_name not in _TWISTED:
+        raise ValueError("orientation is defined for corners and central edges")
+    _, offsets = piece_coordinates(model, p, class_name)
+    return sum(offsets) % len(model.blocks[class_name][0])
+
+
+def sign_vector(model: StickerModel, p: Permutation) -> tuple[int, ...]:
+    """Signs of the induced piece permutations, one per class in the
+    model's canonical class order."""
+    return tuple(induced_cubie_perm(model, p, name).sign()
+                 for name in model.class_order)
 
 
 def evaluate(f: PolyQ, x) -> Fraction:

@@ -14,7 +14,7 @@ import random
 import time
 from fractions import Fraction
 
-from cubegal.cubes import cube_model, orientation_sum
+from cubegal.cubes import cube_model
 from cubegal.evidence import (certify_symmetric, parity_linkage,
                               predict_wreath_types, scan, triple_parity_linkage,
                               types_within)
@@ -27,8 +27,8 @@ from cubegal.theorems import (TARGET_CLASS, derive_parameters, professor_h2,
                               professor_h3, revenge_g, revenge_g_coefficient,
                               revenge_h, rubik_f, rubik_g, rubik_g_resolvent,
                               professor_h1_stated_coefficient)
-from reference import (abelianization_order, enumerate_restricted, sign_image,
-                       superflip_permutation)
+from reference import (abelianization_order, enumerate_restricted, orientation_sum,
+                       sign_image, superflip_permutation)
 
 JOBS = 2  # worker pool width available in this environment
 

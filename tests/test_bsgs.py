@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from math import factorial, lcm
 
@@ -6,7 +5,7 @@ import pytest
 
 from cubegal.bsgs import PermutationGroup, ProductReplacementSampler
 from cubegal.perm import IDENT256, Permutation, parse_cycles
-from reference import identity, normal_closure, random_elements
+from reference import copy_model, identity, normal_closure, random_elements
 
 
 def s_n_generators(n):
@@ -103,11 +102,14 @@ def _random_on(rng, n, support):
 
 
 def test_order_equals_product_of_basic_orbits():
-    g = PermutationGroup(s_n_generators(8))
-    prod = 1
-    for size in g.basic_orbit_sizes:
-        prod *= size
-    assert prod == g.order()
+    # the order is the orbit product kept up to date as orbits grow: with
+    # no bound (prune and verify), a bound met, and a bound never met
+    for bound in (None, factorial(8), 2 * factorial(8)):
+        g = PermutationGroup(s_n_generators(8), bound=bound)
+        prod = 1
+        for size in g.basic_orbit_sizes:
+            prod *= size
+        assert prod == g.order() == factorial(8)
 
 
 @pytest.mark.parametrize("n,seed", [(3, 1), (4, 1), (5, 1), (3, 4242), (4, 4242)],
@@ -184,7 +186,7 @@ def test_cube_groups_are_proved_by_their_bound_alone(n, seed, monkeypatch):
     # its level check runs, and membership is exact both ways
     from cubegal.cubes import cube_model
     from cubegal.structure import R3_ORDER, R4_ORDER, R5_ORDER
-    model = dataclasses.replace(cube_model(n), _group_cache={})
+    model = copy_model(cube_model(n))
     calls = _spy(monkeypatch, "_verify", "_check_level")
     group = model.group(seed)
     assert calls == []

@@ -38,6 +38,19 @@ def test_order_json_report(tmp_path, capsys):
     assert doc["checks"][0]["actual"] == str(R3_ORDER)
 
 
+def test_order_reports_a_refuted_bound_as_a_failed_check(capsys, monkeypatch):
+    # a chain past the proved upper bound is a failed check with the error
+    # text, not a traceback
+    from cubegal import cubes
+    monkeypatch.setattr(cubes, "order_bound", lambda model: R3_ORDER // 2)
+    monkeypatch.setattr(cube_model(3), "_group_cache", {})
+    code, out = run_cli(capsys, "order", "--cube", "3", "--report", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "fail"
+    assert check["actual"] == "error: the chain holds more elements than the proved upper bound"
+
+
 def test_gens_cycles_format(capsys):
     code, out = run_cli(capsys, "gens", "--cube", "4", "--report", "text")
     assert code == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -6,13 +5,13 @@ import pytest
 
 from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, canonical_table_text,
-                           cube_model, induced_cubie_perm, load_net, order_bound,
-                           orientation_sum, sign_vector)
+                           cube_model, load_net, order_bound)
 from cubegal.perm import Permutation, orbits, parse_cycles
 from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
                                r4_predicted_order, r5_predicted_order)
-from reference import (ConfigTuple, decode_config, encode_config, identity, random_elements,
-                       sign_assignment, sign_image, superflip_permutation, validity_check)
+from reference import (ConfigTuple, copy_model, decode_config, encode_config, identity,
+                       induced_cubie_perm, orientation_sum, random_elements, sign_assignment,
+                       sign_image, sign_vector, superflip_permutation, validity_check)
 
 
 def test_table_integrity():
@@ -309,7 +308,7 @@ def _with_cycle(model, name, cycle):
     gens = dict(model.generators)
     gens[name] = gens[name] * parse_cycles("(" + " ".join(map(str, cycle)) + ")",
                                            model.degree)
-    return dataclasses.replace(model, generators=gens, _group_cache={})
+    return copy_model(model, generators=gens)
 
 
 def _tampered_models():
@@ -322,9 +321,8 @@ def _tampered_models():
     yield pytest.param(lambda: _with_cycle(cube_model(4), "r1",
                                            cube_model(4).blocks["wings"][0]),
                        id="wing-swap")
-    yield pytest.param(lambda: dataclasses.replace(
-        cube_model(4), _group_cache={},
-        blocks={k: v for k, v in cube_model(4).blocks.items() if k != "x_centers"}),
+    yield pytest.param(lambda: copy_model(cube_model(4), blocks={
+        k: v for k, v in cube_model(4).blocks.items() if k != "x_centers"}),
         id="dropped-class")
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -157,6 +158,39 @@ def test_cycle_type_invariants():
     assert t.parity == 1  # two odd 4-cycles
     with pytest.raises(ValueError):
         CycleType((0, 2))
+
+
+def test_cycle_type_compares_hashes_and_prints_by_its_sorted_parts():
+    t = CycleType((1, 4, 2, 4))
+    assert t.parts == (4, 4, 2, 1)
+    assert t == CycleType((4, 4, 2, 1)) and hash(t) == hash(CycleType((2, 1, 4, 4)))
+    assert t != CycleType((4, 4, 3)) and t != (4, 4, 2, 1)
+    small, large = CycleType((3, 3)), CycleType((4, 1, 1))
+    assert small < large and small <= large and large > small and large >= small
+    assert small <= CycleType((3, 3)) and small >= CycleType((3, 3))
+    assert not small < CycleType((3, 3)) and not small > CycleType((3, 3))
+    assert sorted([t, large, small]) == [small, large, t]
+    with pytest.raises(TypeError):
+        small < (3, 3)
+    assert repr(t) == "CycleType(parts=(4, 4, 2, 1))"
+    assert str(t) == "4^2 2 1"
+    for bad in ((0, 2), (3, -1)):
+        with pytest.raises(ValueError):
+            CycleType(bad)
+
+
+def test_cycle_type_is_immutable_and_pickles():
+    # pool workers send cycle types back to the parent process
+    t = CycleType((2, 3))
+    with pytest.raises(AttributeError):
+        t.parts = (5,)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.parts
+    assert t.parts == (3, 2)
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and hash(copy) == hash(t) and copy.parts == (3, 2)
 
 
 def test_print_parse_round_trip_generators():

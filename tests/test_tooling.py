@@ -76,6 +76,17 @@ def test_order_and_gens_leave_the_number_layer_unimported():
     assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
 
 
+def test_order_and_gens_leave_dataclasses_unimported():
+    # CycleType, CheckReport and StickerModel are plain classes, so the
+    # order path skips dataclasses and the modules it imports; -S keeps
+    # site .pth files from preloading any of them
+    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+    run = subprocess.run([sys.executable, "-S", "-c", _LAYERING_PROBE, *heavy],
+                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
+
+
 _LAZY_IMPORT_PROBE = """\
 import json, os, sys
 from cubegal.cli import cli_main
