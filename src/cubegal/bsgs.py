@@ -1,34 +1,30 @@
 """Base and strong generating sets for permutation groups.
 
-Construction is randomized Schreier-Sims on `ProductReplacementSampler`
-elements.  Every transversal element is a product of sift residues of
-group elements, and the products u_1 u_2 ... u_k of one transversal
-element per level are pairwise distinct, so the product L of the basic
-orbit sizes is a lower bound on |G|.  What a build proves depends on
-whether the caller gives an upper bound U on |G| that it has proved by
-other means (`cubes.order_bound` does so for the cube groups):
+Construction is deterministic Schreier-Sims (Seress, "Permutation Group
+Algorithms", ch. 4; Holt, Eick & O'Brien, "Handbook of Computational
+Group Theory", 4.4).  The inputs are sifted first; then each sweep goes
+down the levels and sifts every Schreier generator of level i through
+the levels below it, adjoining each nontrivial residue to the levels
+from 0 to the one it stuck at.  So level i's generators fix the base
+points before b_i, and the generator sets are nested: each level's set
+holds every deeper level's.
 
-- with a bound, the random phase stops as soon as L reaches U.  Then
-  L <= |G| <= U = L, so |G| = L, every element of G is one of those
-  products, and the membership test is exact; no verification pass
-  runs.  A chain whose L exceeds U shows that U was false, and the
-  build raises ArithmeticError;
-- without a bound, or with one that the random phase does not reach
-  before `_CLEAN_SIFTS` consecutive sifts add nothing, the chain is
-  pruned and a deterministic verification pass with repair runs.  At
-  each level i, with generator set S_i and base point b_i, the pass
-  sifts every Schreier generator of S_i with respect to b_i through the
-  levels below, which proves that the stabilizer of b_i in <S_i> lies
-  in the chain below.  The levels are not nested: `_prune` rebuilds
-  each level from one orbit walk of its own, so a deeper level may hold
-  generators that level i lacks, and the pass is not the full
-  Schreier-Sims criterion.  What it leaves proved: a membership test
-  that answers yes (the element is a product of transversal words), and
-  the order as a lower bound.
+Every transversal element is a product of sift residues of group
+elements, and the products u_1 u_2 ... u_k of one transversal element
+per level are pairwise distinct, so the product L of the basic orbit
+sizes is a lower bound on |G|.  The build stops in one of two ways:
 
-The full criterion, over the union of the generators at levels >= i, is
-checked for the three cube chains (and a second seed for R3 and R4) by
-`tests/test_bsgs.py`.
+- a sweep adds nothing.  With nested levels that is the Schreier-Sims
+  criterion at every level, so the stabilizer of b_i in <S_i> is <S_i+1>
+  all the way down, |G| = L, and the membership test is exact;
+- the caller gave an upper bound U on |G| that it proved by other means
+  (`cubes.order_bound` does so for the cube groups), and L reaches it.
+  Then L <= |G| <= U = L, so |G| = L and membership is exact, with no
+  further sweep.  A chain whose L exceeds U shows that U was false, and
+  the build raises ArithmeticError.
+
+The same criterion is re-checked from outside, on bounded and unbounded
+chains, by `tests/test_bsgs.py`.
 
 All orders are exact arbitrary-precision integers.  The chain works on
 0-based image tables in ``bytes``, and each byte string has one role
@@ -45,20 +41,12 @@ and one length:
 ``d.translate(t)`` is the data of t o d, ``bytes.maketrans(d, ident)``
 is the table of d's inverse, and equality with ``ident`` (the identity
 data, ``IDENT256[:degree]``) tests for the identity.  A residue is
-padded once, when `_add_strong` adjoins it; input generators and
-sampler elements are cut to ``degree`` once, when they are sifted.
+padded once, when `_add_strong` adjoins it.
 """
 
 from __future__ import annotations
 
-import random
-
 from .perm import IDENT256, Permutation
-
-DEFAULT_SEED = 1
-_PR_SLOTS = 10
-_PR_BURNIN = 60
-_CLEAN_SIFTS = 20
 
 
 class _Level:
@@ -67,41 +55,11 @@ class _Level:
 
     __slots__ = ("point", "gens", "trans", "invtrans")
 
-    def __init__(self, point: int, ident: bytes, gens=()):
+    def __init__(self, point: int, ident: bytes):
         self.point = point
-        self.gens: list[bytes] = list(gens)
+        self.gens: list[bytes] = []
         self.trans: dict[int, bytes] = {point: ident}
         self.invtrans: dict[int, bytes] = {point: IDENT256}
-
-
-class ProductReplacementSampler:
-    """Seedable random-element stream over a fixed generating set.
-
-    Ten accumulator slots and sixty burn-in steps; the parameters favor
-    reproducibility over theoretical mixing guarantees.
-    """
-
-    def __init__(self, generators, seed: int):
-        gens = list(generators)
-        if not gens:
-            raise ValueError("empty generator list")
-        self._slots = [gens[i % len(gens)]._img for i in range(_PR_SLOTS)]
-        self._rng = random.Random(seed)
-        for _ in range(_PR_BURNIN):
-            self._step()
-
-    def _step(self) -> bytes:
-        rng = self._rng
-        k = len(self._slots)
-        i = rng.randrange(k)
-        j = rng.randrange(k - 1)
-        if j >= i:
-            j += 1
-        a, b = self._slots[i], self._slots[j]
-        if rng.random() < 0.5:
-            b = bytes.maketrans(b, IDENT256)
-        self._slots[i] = b.translate(a) if rng.random() < 0.5 else a.translate(b)
-        return self._slots[i]
 
 
 class PermutationGroup:
@@ -109,7 +67,7 @@ class PermutationGroup:
     set, checked as the module docstring states: order and membership
     test.  `bound`, when given, is a proved upper bound on the order."""
 
-    def __init__(self, generators, seed: int = DEFAULT_SEED, bound: int | None = None):
+    def __init__(self, generators, bound: int | None = None):
         gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
@@ -123,7 +81,7 @@ class PermutationGroup:
         # the product of the basic orbit sizes, kept up to date as
         # `_add_strong` grows the orbits; the order once built
         self._order = 1
-        self._build(seed, bound)
+        self._build(bound)
         if bound is not None and self._order > bound:
             raise ArithmeticError("the chain holds more elements than the proved upper bound")
         for g in self.generators:
@@ -180,10 +138,9 @@ class PermutationGroup:
             p = p.translate(inv)
         return p, len(levels)
 
-    def _extend_orbit(self, lvl: _Level, new: bytes | None = None) -> list[bytes]:
+    def _extend_orbit(self, lvl: _Level, new: bytes | None = None):
         """Close lvl's basic orbit and transversals under lvl.gens,
-        breadth first; returns the generators that first reached a new
-        point, in first-use order.
+        breadth first.
 
         When the orbit is already closed under every generator but the
         last one, `new`, the first round applies only `new` to it: the
@@ -195,13 +152,12 @@ class PermutationGroup:
         """
         trans = lvl.trans
         if new is not None and trans.keys() >= set(bytes(trans).translate(new)):
-            return []
+            return
         invtrans = lvl.invtrans
         ident = trans[lvl.point]
         frontier = list(trans)
         gens = lvl.gens
         round_gens = gens if new is None else (new,)
-        used: dict[bytes, None] = {}
         while frontier:
             fresh = []
             for beta in frontier:
@@ -213,18 +169,16 @@ class PermutationGroup:
                         trans[gamma] = w
                         invtrans[gamma] = bytes.maketrans(w, ident)
                         fresh.append(gamma)
-                        used.setdefault(s)
             frontier = fresh
             round_gens = gens
-        return list(used)
 
     def _add_strong(self, g: bytes, stick: int):
         """Adjoin the sift residue g, padded to a table here, to levels
         0..stick.
 
         g fixes every base point before `stick`, so it belongs to each of
-        those stabilizers.  The level sets stay nested only until `_prune`
-        rebuilds each level on its own.  When g moves no existing base
+        those stabilizers, and the generator sets stay nested: each level's
+        set holds every deeper level's.  When g moves no existing base
         point a new level is opened at its first moved point
         (first-moved-point base heuristic).
         """
@@ -240,15 +194,40 @@ class PermutationGroup:
             if len(lvl.trans) != before:
                 self._order = self._order // before * len(lvl.trans)
 
-    def _adjoin(self, gens) -> bool:
-        """Sift each of the data gens and adjoin every nontrivial residue;
-        returns whether the chain grew."""
+    def _schreier_generators(self):
+        """Each level's Schreier generators, top down, as (data, level
+        below): u s u'^-1 for each orbit point beta with transversal
+        element u, and each of the level's generators s, where u' is the
+        transversal element of s(beta).  Those equal to the identity by
+        construction are skipped.  A level's orbit points are read when
+        its turn comes, and its generators at each point, so what a
+        residue adds to a level already swept, and the points it adds to
+        the level being swept, wait for the next sweep."""
+        levels = self._levels
+        i = 0
+        while i < len(levels):
+            lvl = levels[i]
+            i += 1
+            trans, invtrans = lvl.trans, lvl.invtrans
+            for beta, u in list(trans.items()):
+                for s in list(lvl.gens):
+                    gamma = s[beta]
+                    w = u.translate(s)
+                    if w != trans[gamma]:
+                        yield w.translate(invtrans[gamma]), i
+
+    def _adjoin(self, items, bound: int | None) -> bool:
+        """Sift each (data, start level) item and adjoin every nontrivial
+        residue; returns whether the chain grew.  Stops once the orbit
+        product meets the bound."""
         grew = False
-        for g in gens:
-            residue, stick = self._sift(g)
+        for g, start in items:
+            residue, stick = self._sift(g, start)
             if residue != self._ident:
                 self._add_strong(residue, stick)
                 grew = True
+                if self._reached(bound):
+                    break
         return grew
 
     def _reached(self, bound: int | None) -> bool:
@@ -256,89 +235,10 @@ class PermutationGroup:
         then proved (or, past it, the bound is refuted)."""
         return bound is not None and self._order >= bound
 
-    def _build(self, seed: int, bound: int | None):
-        inputs = list(dict.fromkeys(g for g in self.generators if not g.is_identity()))
-        if not inputs:
-            return  # trivial group: empty chain, order 1
-        raw_gens = [g.raw for g in inputs]
-        while self._adjoin(raw_gens):
-            pass
-        if self._reached(bound):
-            return
-        sampler = ProductReplacementSampler(inputs, seed)
-        clean = 0
-        while clean < _CLEAN_SIFTS:
-            if not self._adjoin((sampler._step()[:self.degree],)):
-                clean += 1
-            elif self._reached(bound):
-                return
-            else:
-                clean = 0
-        self._prune({g._img for g in inputs})
-        # verify, then make sure the checked group is still the group the
-        # inputs generate (pruning could in principle drop span-essential
-        # generators); every re-insertion grows a basic orbit, so this loop
-        # terminates
-        self._verify()
-        while self._adjoin(raw_gens):
-            self._verify()
-
-    def _prune(self, protected: set[bytes]):
-        """Drop strong generators that never extend their level's orbit.
-
-        One orbit walk per level from scratch records which generators
-        first reached each orbit point; the rest are redundant for the
-        orbit (though not necessarily for the stabilizer below - the
-        verification pass re-adjoins what its check finds missing).  The
-        walk's transversals are kept: each tree edge is labelled by the
-        generator that first reached its point, so every transversal word
-        is one in the kept generators.  Input generators are never dropped
-        from the top level: the chain's group must stay theirs.  Each walk
-        closes the same orbit again, so the orbit product stays as it is.
-        """
-        for depth, lvl in enumerate(self._levels):
-            pruned = _Level(lvl.point, self._ident, lvl.gens)
-            pruned.gens = kept = self._extend_orbit(pruned)
-            if depth == 0:
-                for g in lvl.gens:
-                    if g in protected and g not in kept:
-                        kept.append(g)
-            self._levels[depth] = pruned
-
-    def _check_level(self, i: int):
-        """Sift every Schreier generator of level i's own generators
-        through the chain below (deeper levels' generators are not used).
-
-        Returns None when all reduce to the identity, else the first
-        failing residue and the level index where it stuck.
-        """
-        lvl = self._levels[i]
-        for beta, u in lvl.trans.items():
-            for s in lvl.gens:
-                gamma = s[beta]
-                w = u.translate(s)
-                if w == lvl.trans[gamma]:
-                    continue
-                residue, stick = self._sift(w.translate(lvl.invtrans[gamma]), i + 1)
-                if stick < len(self._levels) or residue != self._ident:
-                    return residue, stick
-        return None
-
-    def _verify(self):
-        """Deterministic Schreier-Sims verification with repair.
-
-        Levels are checked deepest-first.  A repair adjoins the residue
-        (levels 0..stick) and strictly enlarges the product of the basic
-        orbit sizes, which is bounded by |G|, so the loop terminates.
-        Levels deeper than the repair point are untouched by it and stay
-        checked; re-checking resumes at the repair level.
-        """
-        i = len(self._levels) - 1
-        while i >= 0:
-            failure = self._check_level(i)
-            if failure is None:
-                i -= 1
-                continue
-            residue, stick = failure
-            self._add_strong(residue, stick)
-            i = stick
+    def _build(self, bound: int | None):
+        """Sift the inputs, then sweep every level's Schreier generators
+        through the levels below it until a sweep adds nothing or the
+        orbit product meets the bound."""
+        grew = self._adjoin(((g.raw, 0) for g in self.generators), bound)
+        while grew and not self._reached(bound):
+            grew = self._adjoin(self._schreier_generators(), bound)

@@ -102,7 +102,7 @@ def _cmd_order(args) -> int:
     model = cube_model(args.cube)
     start = time.perf_counter()
     try:
-        actual = str(model.group(seed=args.seed).order())
+        actual = str(model.group().order())
     except ArithmeticError as exc:  # the chain refuted the proved upper bound
         actual = f"error: {exc}"
     ms = int((time.perf_counter() - start) * 1000)
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for prime scans "
                              "(default: the CPUs available to this process)")
     common.add_argument("--seed", type=int, default=1,
-                        help="seed for randomized group construction")
+                        help="accepted for compatibility; the group build is "
+                             "deterministic and ignores it")
     common.add_argument("--out", help="write the report to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)

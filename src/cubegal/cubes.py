@@ -159,17 +159,19 @@ class StickerModel:
         # sticker -> index of its block, one map per class, for the decoder
         self._block_index = {name: {s: i for i, block in enumerate(class_blocks) for s in block}
                              for name, class_blocks in blocks.items()}
-        self._group_cache: dict[int, PermutationGroup] = {}
+        self._group: PermutationGroup | None = None
 
     @property
     def class_order(self) -> tuple[str, ...]:
         return tuple(self.blocks)
 
     def group(self, seed: int = 1) -> PermutationGroup:
-        if seed not in self._group_cache:
-            self._group_cache[seed] = PermutationGroup(
-                list(self.generators.values()), seed=seed, bound=order_bound(self))
-        return self._group_cache[seed]
+        """The group, built once; the build is deterministic, so `seed` is
+        accepted and changes nothing."""
+        if self._group is None:
+            self._group = PermutationGroup(list(self.generators.values()),
+                                           bound=order_bound(self))
+        return self._group
 
 
 def _build_r5() -> StickerModel:

@@ -182,9 +182,6 @@ class Permutation:
 
     # -- structure ----------------------------------------------------------
 
-    def is_identity(self) -> bool:
-        return self._img == IDENT256
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 1-based, each rotated to start at its least
         point, sorted by that least point."""

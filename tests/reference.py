@@ -3,15 +3,16 @@ them.  The tests check the package against them, and the acceptance gate
 checks the paper's structural claims with them."""
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as iter_permutations, product
 from math import factorial
 
-from cubegal.bsgs import DEFAULT_SEED, PermutationGroup, ProductReplacementSampler
+from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import _TWISTED, StickerModel, cube_model, piece_coordinates
-from cubegal.perm import Permutation
+from cubegal.perm import IDENT256, Permutation
 from cubegal.polymod import _mod_p, is_prime
 from cubegal.polyq import PolyQ, exact_str
 
@@ -21,6 +22,45 @@ def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be positive")
     return Permutation(range(1, degree + 1))
+
+
+def is_identity(p: Permutation) -> bool:
+    """Whether p fixes every point."""
+    return p == identity(p.degree)
+
+
+_PR_SLOTS = 10
+_PR_BURNIN = 60
+
+
+class ProductReplacementSampler:
+    """Seedable random-element stream over a fixed generating set.
+
+    Ten accumulator slots and sixty burn-in steps; the parameters favor
+    reproducibility over theoretical mixing guarantees.
+    """
+
+    def __init__(self, generators, seed: int):
+        gens = list(generators)
+        if not gens:
+            raise ValueError("empty generator list")
+        self._slots = [gens[i % len(gens)]._img for i in range(_PR_SLOTS)]
+        self._rng = random.Random(seed)
+        for _ in range(_PR_BURNIN):
+            self._step()
+
+    def _step(self) -> bytes:
+        rng = self._rng
+        k = len(self._slots)
+        i = rng.randrange(k)
+        j = rng.randrange(k - 1)
+        if j >= i:
+            j += 1
+        a, b = self._slots[i], self._slots[j]
+        if rng.random() < 0.5:
+            b = bytes.maketrans(b, IDENT256)
+        self._slots[i] = b.translate(a) if rng.random() < 0.5 else a.translate(b)
+        return self._slots[i]
 
 
 def random_elements(generators, seed: int):
@@ -40,6 +80,14 @@ def copy_model(model: StickerModel, **changes) -> StickerModel:
               "source_text": model.source_text}
     fields.update(changes)
     return StickerModel(**fields)
+
+
+def with_cycle(model: StickerModel, name: str, cycle) -> StickerModel:
+    """A copy of model whose generator `name` is composed with one extra
+    cycle of stickers; it caches no group."""
+    gens = dict(model.generators)
+    gens[name] = gens[name] * Permutation.from_cycles([cycle], model.degree)
+    return copy_model(model, generators=gens)
 
 
 def induced_cubie_perm(model: StickerModel, p: Permutation, class_name: str) -> Permutation:
@@ -154,8 +202,8 @@ def commutes_with_all(element: tuple[WreathElement, WreathElement],
     return all(a * ga == ga * a and b * gb == gb * b for ga, gb in gens)
 
 
-def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
-                   seed: int = DEFAULT_SEED) -> PermutationGroup | None:
+def normal_closure(group: PermutationGroup, seeds,
+                   max_generators: int = 256) -> PermutationGroup | None:
     """Smallest subgroup of `group` containing `seeds` and normal in it.
 
     Returns None ("inconclusive") when the generator count exceeds
@@ -166,12 +214,12 @@ def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
     for s in seeds:
         if s.degree != group.degree:
             raise ValueError("degree mismatch")
-        if not s.is_identity() and s not in seen:
+        if not is_identity(s) and s not in seen:
             closure_gens.append(s)
             seen.add(s)
     if not closure_gens:
-        return PermutationGroup([identity(group.degree)], seed=seed)
-    handle = PermutationGroup(closure_gens, seed=seed)
+        return PermutationGroup([identity(group.degree)])
+    handle = PermutationGroup(closure_gens)
     while True:
         new: list[Permutation] = []
         for g in group.generators:
@@ -186,17 +234,17 @@ def normal_closure(group: PermutationGroup, seeds, max_generators: int = 256,
         closure_gens.extend(new)
         if len(closure_gens) > max_generators:
             return None
-        handle = PermutationGroup(closure_gens, seed=seed)
+        handle = PermutationGroup(closure_gens)
 
 
-def abelianization_order(group: PermutationGroup, *, max_generators: int = 256,
-                         seed: int = 1) -> int | None:
+def abelianization_order(group: PermutationGroup, *,
+                         max_generators: int = 256) -> int | None:
     """|G / [G,G]|, with [G,G] the normal closure of the generator
     commutators; None when the closure was inconclusive."""
     gens = group.generators
     commutators = [a.inverse() * b.inverse() * a * b
                    for i, a in enumerate(gens) for b in gens[i + 1:]]
-    derived = normal_closure(group, commutators, max_generators=max_generators, seed=seed)
+    derived = normal_closure(group, commutators, max_generators=max_generators)
     return None if derived is None else group.order() // derived.order()
 
 

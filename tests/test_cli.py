@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,15 +41,27 @@ def test_order_json_report(tmp_path, capsys):
 
 def test_order_reports_a_refuted_bound_as_a_failed_check(capsys, monkeypatch):
     # a chain past the proved upper bound is a failed check with the error
-    # text, not a traceback
+    # text, not a traceback.  The false bound is a prime above the degree,
+    # so no orbit product (a product of orbit sizes <= 48) can equal it
     from cubegal import cubes
-    monkeypatch.setattr(cubes, "order_bound", lambda model: R3_ORDER // 2)
-    monkeypatch.setattr(cube_model(3), "_group_cache", {})
+    monkeypatch.setattr(cubes, "order_bound", lambda model: 53)
+    monkeypatch.setattr(cube_model(3), "_group", None)
     code, out = run_cli(capsys, "order", "--cube", "3", "--report", "json")
     assert code == 1
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "fail"
     assert check["actual"] == "error: the chain holds more elements than the proved upper bound"
+
+
+def test_order_report_does_not_depend_on_the_seed(capsys, monkeypatch):
+    # `order` accepts --seed and ignores it; each run builds its group anew
+    reports = []
+    for seed in ("1", "2"):
+        monkeypatch.setattr(cube_model(3), "_group", None)
+        code, out = run_cli(capsys, "order", "--cube", "3", "--report", "json", "--seed", seed)
+        assert code == 0
+        reports.append(re.sub(r'"ms": \d+', "", out))
+    assert reports[0] == reports[1]
 
 
 def test_gens_cycles_format(capsys):
@@ -166,7 +179,8 @@ options:
   --report {text,json}
   --jobs JOBS           worker processes for prime scans (default: the CPUs
                         available to this process)
-  --seed SEED           seed for randomized group construction
+  --seed SEED           accepted for compatibility; the group build is
+                        deterministic and ignores it
   --out OUT             write the report to a file
   --poly POLY           polynomial JSON file
   --primes PRIMES

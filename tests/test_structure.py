@@ -10,7 +10,8 @@ from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, fiber_order,
                                r3_predicted_order, r4_predicted_order,
                                r5_predicted_order, restricted_wreath_order)
 from reference import (WreathElement, abelianization_order, commutes_with_all,
-                       enumerate_restricted, identity, random_elements, superflip_abstract)
+                       enumerate_restricted, identity, is_identity, random_elements,
+                       superflip_abstract)
 
 
 # ((x, sigma_c), (y, sigma_e)), twists indexed by target position as in the wreath law
@@ -97,7 +98,7 @@ def test_predicted_orders_match_frozen_digits():
 def test_superflip_abstract_properties():
     corner, edge = superflip_abstract()
     assert corner == WreathElement.identity(3, 8)
-    assert edge.perm.is_identity()
+    assert is_identity(edge.perm)
     assert edge.twists == (1,) * 12
     assert edge.twist_sum == 0  # twelve flips, inside the restricted subgroup
     ident = (WreathElement.identity(3, 8), WreathElement.identity(2, 12))
