@@ -7,13 +7,19 @@ The checks built on top:
 * containment of every observed type in the predicted type set of a
   restricted wreath product acting imprimitively;
 * parity linkage between polynomials whose discriminants share a square
-  class (the Frobenius sign is determined by the quadratic subfield);
+  class (the Frobenius sign is determined by the quadratic subfield).
+  A linkage needs only the signs, and by Stickelberger's theorem the
+  sign at an odd good prime p is the Legendre symbol (disc f / p), so
+  it reads each one from disc f mod p by Euler's criterion
+  (`polymod.frobenius_sign`) and factors nothing past p = 2;
 * a sound full-symmetric-group certifier.
 
-Every scan, linkage and certificate uses one budget and one stop rule:
-it examines the first primes good for all of its polynomials, and stops
-after `budget` of them or after _SEARCH_FACTOR (10) x `budget` primes
-examined, good or bad, whichever comes first.
+Every scan, linkage and certificate uses one budget and one stop rule,
+written once in `_good_rows`: it examines the first primes good for all
+of its polynomials, and stops after `budget` of them or after
+_SEARCH_FACTOR (10) x `budget` primes examined, good or bad, whichever
+comes first.  Scans and certificates draw types from one stream that
+may start a worker pool; linkages start none.
 
 The certifier's soundness chain, each step classical (see Wielandt,
 "Finite Permutation Groups", Th. 13.9, or Dixon & Mortimer, "Permutation
@@ -46,7 +52,7 @@ from itertools import islice, product
 from math import prod
 
 from .perm import CycleType
-from .polymod import frobenius_type, is_prime, primes
+from .polymod import frobenius_sign, frobenius_type, is_prime, primes
 from .polyq import PolyQ, discriminant
 from .sqclass import is_square
 
@@ -85,15 +91,36 @@ def _type_worker(key):
     return frobenius_type(*key)
 
 
+def _good_rows(budget: int, rows, bad: list[int] | None = None):
+    """The stop rule of every scan, linkage and certificate, written once.
+
+    rows(examined) yields (p, values) for the primes of `examined`, in
+    order and drawing each one only when it is needed; a None in values
+    marks p bad for some polynomial.  Yield the rows of good primes, skip
+    the bad ones (appended to `bad` if given), and end after `budget`
+    good primes or once _SEARCH_FACTOR * budget primes are examined,
+    whichever comes first.
+    """
+    examined = islice(primes(), _SEARCH_FACTOR * budget)
+    good = 0
+    for q, at_q in rows(examined):
+        if None in at_q:
+            if bad is not None:
+                bad.append(q)
+            continue
+        yield q, at_q
+        good += 1
+        if good == budget:
+            return
+
+
 def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = None):
     """Yield (p, types) for consecutive primes p good for every poly in
-    polys, where types[i] is the Frobenius cycle type of polys[i] at p;
-    primes bad for some poly are skipped, and appended to `bad` if given.
-    The stream ends after `budget` good primes or after
-    _SEARCH_FACTOR * budget primes examined, whichever comes first.
+    polys, where types[i] is the Frobenius cycle type of polys[i] at p,
+    under the stop rule of `_good_rows`.
 
     Types come from the shared cache _TYPES, which has no bound (a verify
-    suite leaves at most 1,635 keys in it); misses are computed here at
+    suite leaves at most 1,021 keys in it); misses are computed here at
     jobs == 1, one prime at a time, so no prime is drawn ahead of the
     consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
     the misses of each batch go to one worker pool, started at the first
@@ -106,34 +133,27 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    examined = islice(primes(), _SEARCH_FACTOR * budget)
     batch_size = _POOL_CHUNK if jobs > 1 else 1
-    good = 0
     with ExitStack() as stack:
-        pool = None
-        for batch in iter(lambda: list(islice(examined, batch_size)), []):
-            keys = dict.fromkeys((f, q) for q in batch for f in polys)
-            misses = [key for key in keys if key not in _TYPES]
-            if misses and jobs > 1 and pool is None:
-                workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
-                # through the module, so the lazy name above resolves
-                pool_class = sys.modules[__name__].ProcessPoolExecutor
-                pool = stack.enter_context(pool_class(max_workers=workers))
-            if pool is None:
-                computed = map(_type_worker, misses)
-            else:
-                computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
-            _TYPES.update(zip(misses, computed))
-            for q in batch:
-                at_q = [_TYPES[f, q] for f in polys]
-                if None in at_q:
-                    if bad is not None:
-                        bad.append(q)
-                    continue
-                yield q, at_q
-                good += 1
-                if good == budget:
-                    return
+        def rows(examined):
+            pool = None
+            for batch in iter(lambda: list(islice(examined, batch_size)), []):
+                keys = dict.fromkeys((f, q) for q in batch for f in polys)
+                misses = [key for key in keys if key not in _TYPES]
+                if misses and jobs > 1 and pool is None:
+                    workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
+                    # through the module, so the lazy name above resolves
+                    pool_class = sys.modules[__name__].ProcessPoolExecutor
+                    pool = stack.enter_context(pool_class(max_workers=workers))
+                if pool is None:
+                    computed = map(_type_worker, misses)
+                else:
+                    computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
+                _TYPES.update(zip(misses, computed))
+                for q in batch:
+                    yield q, [_TYPES[f, q] for f in polys]
+
+        yield from _good_rows(budget, rows, bad)
 
 
 @dataclass
@@ -337,7 +357,7 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
 
 @dataclass
 class LinkageReport:
-    """Per-prime parity comparison over primes good for every polynomial."""
+    """Per-prime sign comparison over primes good for every polynomial."""
 
     primes_checked: int
     violations: list[tuple]
@@ -348,29 +368,41 @@ class LinkageReport:
 
 
 def _linkage(polys, prime_budget: int, jobs: int) -> LinkageReport:
-    """Check parity(polys[0]) == product of the other parities at every
-    prime good for all of them; violations are (p, *types)."""
+    """Check sign(polys[0]) == product of the other signs at every prime
+    good for all of them, under the stop rule of `_good_rows`;
+    violations are (p, *signs).
+
+    Each sign is `frobenius_sign`, the Legendre symbol of disc f at odd
+    p, which costs less than handing its key to a worker; so a linkage
+    computes no type past p = 2 and starts no pool, whatever `jobs` is.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(discriminant(poly) == 0 for poly in polys):
         raise ValueError("inputs must be separable")
-    rows = list(_frobenius_stream(polys, jobs, prime_budget))
-    violations = [(p, *types) for p, types in rows
-                  if types[0].parity != prod(t.parity for t in types[1:])]
-    return LinkageReport(primes_checked=len(rows), violations=violations)
+
+    def rows(examined):
+        for q in examined:
+            yield q, [frobenius_sign(f, q) for f in polys]
+
+    checked = list(_good_rows(prime_budget, rows))
+    violations = [(p, *signs) for p, signs in checked if signs[0] != prod(signs[1:])]
+    return LinkageReport(primes_checked=len(checked), violations=violations)
 
 
 def parity_linkage(f: PolyQ, g: PolyQ,
                    prime_budget: int = DEFAULT_LINKAGE_BUDGET, *,
                    jobs: int = 1) -> LinkageReport:
-    """Check parity(type of f) == parity(type of g) at every prime good
-    for both.  Discriminants in one square class force linkage; a
-    violating prime is a constructive witness of distinct classes.
-    Violations are (p, type of f, type of g)."""
+    """Check sign(f) == sign(g) at every prime good for both, the sign
+    being that of a Frobenius element.  Discriminants in one square
+    class force linkage; a violating prime is a constructive witness of
+    distinct classes.  Violations are (p, sign of f, sign of g)."""
     return _linkage([f, g], prime_budget, jobs)
 
 
 def triple_parity_linkage(f: PolyQ, g2: PolyQ, g3: PolyQ,
                           prime_budget: int = DEFAULT_TRIPLE_BUDGET, *,
                           jobs: int = 1) -> LinkageReport:
-    """Check parity(f) == parity(g2) * parity(g3) at every common good
-    prime.  Violations are (p, type of f, type of g2, type of g3)."""
+    """Check sign(f) == sign(g2) * sign(g3) at every common good prime.
+    Violations are (p, sign of f, sign of g2, sign of g3)."""
     return _linkage([f, g2, g3], prime_budget, jobs)

@@ -31,7 +31,10 @@ it returns: the degrees sum to deg f, and at odd p the parity equals
 the Legendre symbol (disc f / p).  At p = 2 the gcd still runs and is
 checked against disc f mod 2.  A type that fails its check raises
 ArithmeticError, so a kernel fault cannot pass as evidence.
-`ddf_cycle_type`, on a polynomial already over F_p, keeps the gcd.
+`frobenius_sign` returns only that parity: at odd p it is the Legendre
+symbol itself, by Euler's criterion, with no DDF.  One helper,
+`_stickelberger`, holds the goodness rule and the expected sign for
+both.  `ddf_cycle_type`, on a polynomial already over F_p, keeps the gcd.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -488,38 +491,72 @@ def ddf_cycle_type(f: PolyFp):
 _discriminant = functools.lru_cache(maxsize=32)(discriminant)
 
 
-def frobenius_type(f: PolyQ, p: int):
-    """Cycle type of f mod p, or None when p is bad (undefined or
-    ramified reduction).
+def _stickelberger(f: PolyQ, p: int):
+    """(reduction, sign) for f at p, or None when p is bad (undefined or
+    ramified reduction): the goodness rule and the parity that
+    Stickelberger's theorem then demands, shared by `frobenius_type` and
+    `frobenius_sign` so the two cannot disagree on either.
 
     Where the reduction is defined, p divides no denominator of disc f
     (an integer polynomial in f's coefficients), and f mod p is
     squarefree iff p does not divide disc f.  That decides squarefreeness
     here, with disc f computed once per polynomial, so no gcd(f, f') runs
-    at odd p; the degrees come from the DDF body `_ddf`, as in
-    ddf_cycle_type.  Every type is then checked against Stickelberger's
-    theorem: its degrees sum to deg f, and at odd p its parity equals
-    the Legendre symbol (disc f / p), by Euler's criterion.  At p = 2,
-    where no such symbol applies, the gcd still decides squarefreeness
-    and its verdict is checked against disc f mod 2.  A failed check is
-    a kernel fault and raises ArithmeticError.
+    at odd p.  There the sign is the Legendre symbol (disc f / p), by
+    Euler's criterion.  At p = 2, where no such symbol applies, the sign
+    is None, and the gcd still decides squarefreeness; its verdict is
+    checked against disc f mod 2, and a disagreement is a kernel fault
+    that raises ArithmeticError.
     """
     reduced = reduce_mod_p(f, p)
     if reduced is None:
         return None
-    n = reduced.degree
-    if n == 0:
+    if reduced.degree == 0:
         raise ValueError("constant polynomial")
     disc = _mod_p(_discriminant(f), p)
-    fstar = list(reduced.monic().coeffs)
-    if p == 2 and (len(_gcd(fstar, _deriv(fstar, p), p)) == 1) != bool(disc):
-        raise ArithmeticError(f"degree-{n} polynomial at p=2: the squarefree gcd "
-                              f"disagrees with disc f mod 2")
+    if p == 2:
+        fstar = list(reduced.monic().coeffs)
+        if (len(_gcd(fstar, _deriv(fstar, p), p)) == 1) != bool(disc):
+            raise ArithmeticError(f"degree-{reduced.degree} polynomial at p=2: the "
+                                  f"squarefree gcd disagrees with disc f mod 2")
+        return (reduced, None) if disc else None
     if not disc:
         return None
-    t = _ddf(fstar, p)
-    euler = 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
-    if t.degree != n or (p != 2 and t.parity != euler):
+    return reduced, 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+
+
+def frobenius_type(f: PolyQ, p: int):
+    """Cycle type of f mod p, or None when p is bad (undefined or
+    ramified reduction), as `_stickelberger` decides.
+
+    The degrees come from the DDF body `_ddf`, as in ddf_cycle_type.
+    Every type is then checked against Stickelberger's theorem: its
+    degrees sum to deg f, and at odd p its parity equals the Legendre
+    symbol (disc f / p).  A failed check is a kernel fault and raises
+    ArithmeticError.
+    """
+    good = _stickelberger(f, p)
+    if good is None:
+        return None
+    reduced, sign = good
+    n = reduced.degree
+    t = _ddf(list(reduced.monic().coeffs), p)
+    if t.degree != n or (sign is not None and t.parity != sign):
         raise ArithmeticError(f"degree-{n} polynomial at p={p}: Frobenius type {t} "
                               f"contradicts Stickelberger's theorem")
     return t
+
+
+def frobenius_sign(f: PolyQ, p: int):
+    """The sign (+1 or -1) of a Frobenius element of f at p, or None
+    exactly where `frobenius_type` returns None.
+
+    By Stickelberger's theorem the sign at an odd good prime is the
+    Legendre symbol (disc f / p), read off disc f mod p by Euler's
+    criterion with no factorization.  At p = 2 no such symbol applies,
+    and the sign is the parity of the checked type.
+    """
+    if p == 2:
+        t = frobenius_type(f, p)
+        return None if t is None else t.parity
+    good = _stickelberger(f, p)
+    return None if good is None else good[1]

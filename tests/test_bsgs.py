@@ -320,6 +320,27 @@ def test_two_builds_from_the_same_generators_give_the_same_chain():
             == [list(lvl.trans.items()) for lvl in b._levels])
 
 
+def test_later_sweeps_skip_schreier_generators_already_sifted_to_the_identity(monkeypatch):
+    # An unbounded R3 build takes two sweeps.  The second re-sifts only the
+    # (orbit point, generator) pairs that left a residue, or are new: 3,949
+    # sifts in all, inputs and the membership check of the inputs included,
+    # where sifting every Schreier generator again took 7,767.  The chain
+    # is the same either way.
+    from cubegal.cubes import cube_model
+    from cubegal.structure import R3_ORDER
+    sift = PermutationGroup._sift
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return sift(self, *args)
+    monkeypatch.setattr(PermutationGroup, "_sift", counted)
+    g = PermutationGroup(list(cube_model(3).generators.values()))
+    assert len(calls) == 3949
+    assert g.order() == R3_ORDER
+    assert (len(g.base), len(g.strong_generators), sum(g.basic_orbit_sizes)) == (18, 28, 257)
+
+
 def test_normal_closure_of_even_part():
     # closure of a 3-cycle inside S5 is A5
     g = PermutationGroup(s_n_generators(5))

@@ -184,10 +184,13 @@ def test_parity_linkage_resolvent_pair():
 def test_parity_linkage_detects_class_mismatch():
     # disc f sits in the class 7c; disc(X^24 - X - 1) does not, so some
     # prime witnesses the difference
+    from cubegal.polymod import frobenius_type
     report = parity_linkage(rubik_f(), revenge_h(), 120)
     assert not report.ok
-    p, tf, th = report.violations[0]
-    assert tf.parity != th.parity
+    p, sf, sh = report.violations[0]
+    assert sf != sh and {sf, sh} == {1, -1}
+    # the signs are the parities of the full types at that prime
+    assert (frobenius_type(rubik_f(), p).parity, frobenius_type(revenge_h(), p).parity) == (sf, sh)
 
 
 def test_triple_parity_linkage_structure():
@@ -204,6 +207,22 @@ def test_triple_parity_linkage_detects_mismatch():
     from cubegal.theorems import professor_h2
     report = triple_parity_linkage(rubik_f(), professor_h2(), revenge_h(), 60)
     assert not report.ok
+
+
+def test_linkages_factor_nothing_at_odd_primes(cold_cache, monkeypatch):
+    # a linkage reads each sign from disc f mod p by Euler's criterion; only
+    # p = 2, where no Legendre symbol applies, needs the factor degrees
+    from cubegal import polymod
+    from cubegal.theorems import professor_h2, professor_h3
+    ddf, factored = polymod._ddf, []
+
+    def only_at_two(f, p):
+        factored.append(p)
+        return ddf(f, p)
+    monkeypatch.setattr(polymod, "_ddf", only_at_two)
+    assert parity_linkage(rubik_f(), rubik_g_resolvent(), 120).ok
+    assert triple_parity_linkage(revenge_h(), professor_h2(), professor_h3(), 60).primes_checked == 60
+    assert set(factored) <= {2} and not cold_cache
 
 
 def test_linkage_requires_separable():
@@ -260,9 +279,14 @@ def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
     cold_cache.clear()
     parallel = _evidence_of_all_four(2)
     assert parallel == serial
-    # every call had misses: one pool each, all shut down before returning
-    assert len(started) == 4
+    # the scan and the certificate had misses: one pool each, all shut down
+    # before returning; the linkages read signs and start none
+    assert len(started) == 2
     assert stopped == started
+    cold_cache.clear()
+    cubic, other = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1]), PolyQ.from_coeffs([-1, -1, 0, 1])
+    assert parity_linkage(cubic, other, 150, jobs=2) == pair
+    assert len(started) == 2 and not cold_cache
 
 
 def test_pool_has_no_more_workers_than_a_batch_has_tasks(cold_cache, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 from cubegal import polymod, theorems
 from cubegal.perm import CycleType
 from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _Residues,
-                             _settle, _trim, ddf_cycle_type, frobenius_type, is_prime,
-                             powmod, primes, reduce_mod_p)
+                             _settle, _trim, ddf_cycle_type, frobenius_sign, frobenius_type,
+                             is_prime, powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
 from reference import legendre
@@ -323,6 +323,67 @@ def test_ddf_matches_reference_on_named_polynomials(name):
         assert discriminant(f) == 0 and good == 0
     else:
         assert good > 100
+
+
+# the polynomials the parity linkages read signs of, and a cubic whose
+# denominator makes 3 a bad prime
+SIGNED_POLYNOMIALS = {
+    "rubik_f": theorems.rubik_f,
+    "rubik_g_resolvent": theorems.rubik_g_resolvent,
+    "revenge_g": theorems.revenge_g,
+    "revenge_h": theorems.revenge_h,
+    "professor_h1_derived": NAMED_POLYNOMIALS["professor_h1_derived"],
+    "professor_h2": theorems.professor_h2,
+    "professor_h3": theorems.professor_h3,
+    "cubic_bad_at_3": lambda: PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_POLYNOMIALS))
+def test_frobenius_sign_is_the_parity_of_the_type(name):
+    # bad exactly where the type is, and otherwise its parity, p = 2 included
+    f = SIGNED_POLYNOMIALS[name]()
+    bad = []
+    for p in itertools.islice(primes(), 200):
+        t = frobenius_type(f, p)
+        assert frobenius_sign(f, p) == (None if t is None else t.parity), (name, p)
+        if t is None:
+            bad.append(p)
+    if name == "cubic_bad_at_3":
+        assert 3 in bad
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_POLYNOMIALS))
+def test_frobenius_sign_matches_sympy_factor_count(name):
+    # an independent oracle: the sign is (-1)^(n - r), r the number of
+    # irreducible factors that sympy finds mod p
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = SIGNED_POLYNOMIALS[name]()
+    good = 0
+    for p in primes():
+        sign = frobenius_sign(f, p)
+        if sign is None:
+            continue
+        residues = reduce_mod_p(f, p).coeffs
+        _, factors = sympy.Poly(residues[::-1], x, modulus=p).factor_list()
+        assert all(mult == 1 for _, mult in factors), (name, p)
+        assert sign == (-1) ** (f.degree - len(factors)), (name, p)
+        good += 1
+        if good == 30:
+            break
+
+
+def test_frobenius_sign_at_two_is_the_checked_type_parity(monkeypatch):
+    # X^24 - X - 1 is squarefree mod 2, of type 21.3: even.  At p = 2 no
+    # Legendre symbol applies, so the sign comes from the type and shares
+    # frobenius_type's check of the gcd against disc f mod 2
+    h = theorems.revenge_h()
+    assert frobenius_sign(h, 2) == CycleType((21, 3)).parity == 1
+    assert frobenius_sign(theorems.rubik_f(), 2) is frobenius_type(theorems.rubik_f(), 2) is None
+    monkeypatch.setattr(polymod, "_discriminant", lambda f: 2 * discriminant(f))
+    with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=2"):
+        frobenius_sign(h, 2)
 
 
 @pytest.mark.parametrize("mutate", [

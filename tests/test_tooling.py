@@ -126,8 +126,9 @@ def test_probe_counts_one_pool_per_call_with_misses_at_jobs_2(tmp_path):
         for check in report["checks"]:
             del check["ms"]
         runs[jobs] = report, json.loads(out.read_text())["counts"]
-    # scan f, scan g and two parity linkages, each with cache misses
-    assert runs["2"][1]["evidence.pool"] == 4
+    # scan f and scan g, each with cache misses; the two parity linkages
+    # read signs and start no pool
+    assert runs["2"][1]["evidence.pool"] == 2
     assert "evidence.pool" not in runs["1"][1]
     assert runs["2"][0] == runs["1"][0]
 
