@@ -1,14 +1,18 @@
 """Sticker-level models of the 3x3x3, 4x4x4 and 5x5x5 cube groups.
 
 The twelve 5x5x5 face and slice moves are embedded below as static cycle
-tables, integrity-checked by hash: any edit breaks a dedicated test.
-The unfolded-net labeling ships as a versioned JSON data file; it is
-used only to seed the block structure (which stickers share a physical
-piece) and the orientation reference markings.  Sticker classes and
-blocks are then validated against the group action itself - every class
-must be a union of generator orbits and every block partition must be
-invariant - so the embedded data is cross-checked end to end by the
-exact group orders.
+tables, and the unfolded-net labeling ships as a versioned JSON data
+file.  One geometric placement checks and reads both: each net label
+sits at the point 2·cell - 4 + n on the surface of the cube [-5, 5]^3,
+its cell from the net's fold and n the outward normal of its face.  Every
+table must equal the clockwise quarter-turn of its slab on these points,
+else the build raises a ValueError that names the move.  The pieces (the
+stickers of one cell), the classes (a point's sorted absolute
+coordinates) and each piece's marking order (determinants of its
+normals) are read off the same points and normals.  `notes/decisions.md`
+("The move tables are quarter-turns of the cube") shows that the classes
+are then unions of generator orbits and that every move carries pieces
+to pieces and marking orders to marking orders.
 
 The 4x4x4 model is the restriction of the same tables to labels <= 96;
 the 3x3x3 model is the restriction of the six outer turns to the corner
@@ -31,7 +35,7 @@ from functools import cache
 from math import factorial
 
 from .bsgs import PermutationGroup
-from .perm import Permutation, block_system, orbits, parse_cycles, print_cycles
+from .perm import Permutation, parse_cycles, print_cycles
 from .structure import restricted_wreath_order
 
 # One permutation per move, cycle notation on the labels 1..144.
@@ -64,16 +68,7 @@ GENERATOR_TABLES: dict[str, str] = {
     "f2": "(73 6 72 91)(74 18 71 79)(75 30 70 67)(76 42 69 55)(115 126 114 139)",
 }
 
-# sha256 of the table text in a canonical "name=cycles" form; the
-# integrity test recomputes this and any edit to the tables breaks it.
-TABLES_SHA256 = "ed885f6174cb8c2ea9ac484db25181600b68028d0c05b7908b4fd045bebe733d"
-
 OUTER_MOVES = ("u1", "d1", "l1", "r1", "f1", "b1")
-
-# label grid position -> piece class, for a 5x5 face
-_BORDER = {0, 4}
-_CENTRAL_EDGE_POS = {(0, 2), (2, 0), (2, 4), (4, 2)}
-_PLUS_POS = {(1, 2), (2, 1), (2, 3), (3, 2)}
 
 # net folding: (face, row, col) -> surface cell of the 5x5x5 cube,
 # with x rightward, y upward, z toward the viewer (front)
@@ -86,29 +81,23 @@ _FOLD = {
     "R": lambda r, c: (4, 4 - r, 4 - c),
 }
 
+# each face's outward unit normal, in the same axes
+_NORMAL = {"U": (0, 1, 0), "D": (0, -1, 0), "F": (0, 0, 1),
+           "B": (0, 0, -1), "L": (-1, 0, 0), "R": (1, 0, 0)}
+
+# a sticker's piece class from the sorted absolute coordinates of its
+# point, which every rotation of the cube keeps
+_CLASS_OF = {(4, 4, 5): "corners", (0, 4, 5): "central_edges", (2, 4, 5): "wings",
+             (0, 2, 5): "plus_centers", (2, 2, 5): "x_centers"}
+
 CLASS_ORDER = {
     5: ("corners", "central_edges", "wings", "plus_centers", "x_centers"),
     4: ("corners", "wings", "x_centers"),
     3: ("corners", "central_edges"),
 }
 
-_CLASS_SIZES = {"corners": 24, "central_edges": 24, "wings": 48,
-                "plus_centers": 24, "x_centers": 24}
-
-_BLOCK_SIZES = {"corners": 3, "central_edges": 2, "wings": 2,
-                "plus_centers": 1, "x_centers": 1}
-
 # the classes whose pieces carry an orientation with a conserved total
 _TWISTED = ("corners", "central_edges")
-
-
-def canonical_table_text() -> str:
-    return "\n".join(f"{name}={cycles}" for name, cycles in GENERATOR_TABLES.items()) + "\n"
-
-
-def tables_digest() -> str:
-    import hashlib  # loads OpenSSL, so only sticker-model builds pay for it
-    return hashlib.sha256(canonical_table_text().encode()).hexdigest()
 
 
 def load_net() -> dict:
@@ -121,30 +110,39 @@ def load_net() -> dict:
     return net
 
 
-def _grid_class(r: int, c: int) -> str:
-    if r in _BORDER and c in _BORDER:
-        return "corners"
-    if (r, c) in _CENTRAL_EDGE_POS:
-        return "central_edges"
-    if r in _BORDER or c in _BORDER:
-        return "wings"
-    if (r, c) in _PLUS_POS:
-        return "plus_centers"
-    return "x_centers"
+def _dot(a, b) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _det(a, b, c) -> int:
+    return _dot(_cross(a, b), c)
+
+
+def _quarter_turn(v, n) -> tuple[int, int, int]:
+    """v turned a quarter clockwise about the unit axis n, seen from the
+    tip of n: v x n + (v . n) n."""
+    along = _dot(v, n)
+    return tuple(x + along * m for x, m in zip(_cross(v, n), n))
 
 
 class StickerModel:
     """A cube group presented on its stickers, with piece structure.
 
-    `blocks[class]` lists the physical pieces of that class as ordered
-    sticker tuples: for corners, the reference (U/D face) sticker first
-    and the remaining two in a propagated rotation order (consistent
-    chirality, so twist sums are well defined); for central edges, the
-    reference sticker first; for wings, the two chiral sides in orbit
-    order; centers are singletons.  Blocks are listed sorted by their
-    least sticker, and the classes in their canonical order
-    (`class_order`).  A plain class, not a dataclass, so that `order`
-    and `gens` start without importing `dataclasses`.
+    `blocks[class]` lists the physical pieces of that class as sticker
+    tuples in a marking order read off the stickers' outward normals n:
+    for corners, the U/D sticker first, then the cyclic order with
+    det(n0, n1, n2) = -1; for central edges, the U/D sticker first, else
+    the F/B one; for wings, the order (a, b) with det(na, nb, 2·cell - 4)
+    = +1; centers are singletons.  Every move is a proper rotation of its
+    slab, so it keeps both determinants and carries each marking order to
+    a marking order (twist sums are well defined).  Blocks are listed
+    sorted by their least sticker, and the classes in their canonical
+    order (`class_order`).  A plain class, not a dataclass, so that
+    `order` and `gens` start without importing `dataclasses`.
     """
 
     def __init__(self, size: int, degree: int, generators: dict[str, Permutation],
@@ -175,161 +173,63 @@ class StickerModel:
 
 
 def _build_r5() -> StickerModel:
-    if tables_digest() != TABLES_SHA256:
-        raise RuntimeError("generator tables failed their integrity check")
-    gens = {name: parse_cycles(text, 144) for name, text in GENERATOR_TABLES.items()}
-    net = load_net()
-    faces = net["faces"]
-
-    position: dict[int, tuple[str, int, int]] = {}
-    for face, grid in faces.items():
+    # each label's cell offset 2·cell - 4 and outward normal; the sticker
+    # sits at their sum, on the surface of the cube [-5, 5]^3
+    offset: dict[int, tuple[int, int, int]] = {}
+    normal: dict[int, tuple[int, int, int]] = {}
+    for face, grid in load_net()["faces"].items():
         for r, row in enumerate(grid):
             for c, label in enumerate(row):
                 if label is None:
                     continue
-                if label in position:
+                if label in offset:
                     raise ValueError(f"label {label} appears twice in the net")
-                position[label] = (face, r, c)
-    if sorted(position) != list(range(1, 145)):
+                offset[label] = tuple(2 * x - 4 for x in _FOLD[face](r, c))
+                normal[label] = _NORMAL[face]
+    if sorted(offset) != list(range(1, 145)):
         raise ValueError("net labels are not exactly 1..144")
+    point = {s: tuple(x + m for x, m in zip(offset[s], normal[s])) for s in range(1, 145)}
+    kind = {s: _CLASS_OF.get(tuple(sorted(map(abs, p)))) for s, p in point.items()}
+    if None in kind.values():
+        raise ValueError("a net label lies off the stickers of the 5x5x5 cube")
 
-    cells: dict[int, tuple[int, int, int]] = {
-        label: _FOLD[face](r, c) for label, (face, r, c) in position.items()
-    }
+    # move rN (and bN, dN, uN, lN, fN) turns the cells N - 1 layers in from
+    # the right (back, ...) face, whose offsets o have o . n = 6 - 2N
+    label_at = {p: s for s, p in point.items()}
+    gens: dict[str, Permutation] = {}
+    for name, text in GENERATOR_TABLES.items():
+        n, depth = _NORMAL[name[0].upper()], 6 - 2 * int(name[1:])
+        try:
+            g = parse_cycles(text, 144)
+        except ValueError as exc:
+            raise ValueError(f"move {name}: {exc}") from None
+        for s in range(1, 145):
+            turned = label_at[_quarter_turn(point[s], n)] if _dot(offset[s], n) == depth else s
+            if g(s) != turned:
+                raise ValueError(f"move {name} is not the clockwise quarter-turn of its slab")
+        gens[name] = g
+
     pieces: dict[tuple[int, int, int], list[int]] = {}
-    for label, cell in cells.items():
-        pieces.setdefault(cell, []).append(label)
-
-    classes: dict[str, set[int]] = {name: set() for name in CLASS_ORDER[5]}
-    for label, (_, r, c) in position.items():
-        classes[_grid_class(r, c)].add(label)
-    for name, expected in _CLASS_SIZES.items():
-        if len(classes[name]) != expected:
-            raise ValueError(f"class {name} has size {len(classes[name])}, "
-                             f"expected {expected}")
-
-    # classes must be unions of generator orbits (the group never mixes
-    # piece types; wings split into two chiral orbits inside one class)
-    gen_list = list(gens.values())
-    gen_orbits = orbits(gen_list, 144)
-    for orbit in gen_orbits:
-        owners = {name for name, pts in classes.items() if orbit & pts}
-        if len(owners) != 1:
-            raise ValueError("a generator orbit crosses piece classes")
-
-    geometric = {
-        name: sorted((tuple(sorted(stickers)) for cell, stickers in pieces.items()
-                      if set(stickers) <= classes[name]), key=lambda b: b[0])
-        for name in classes
-    }
-    for name in classes:
-        want = _BLOCK_SIZES[name]
-        if any(len(b) != want for b in geometric[name]):
-            raise ValueError(f"net geometry gives a wrong {name} block size")
-        covered = {s for b in geometric[name] for s in b}
-        if covered != classes[name]:
-            raise ValueError(f"net geometry does not cover class {name}")
-
-    # confirm the geometric blocks are exactly the group-invariant
-    # partition closure seeded by one geometric pair
-    for name in ("corners", "central_edges", "wings"):
-        seed_block = geometric[name][0]
-        closure = block_system(gen_list, classes[name], seed_block[:2])
-        if closure is None or sorted(map(sorted, closure)) != [
-                sorted(b) for b in geometric[name]]:
-            raise ValueError(f"block closure disagrees with the net for {name}")
-
-    ref_faces = net["reference_faces"]
-    corner_ref_labels = {label for label, (face, _, _) in position.items()
-                         if face in ref_faces["corners"]}
-    edge_primary = {label for label, (face, _, _) in position.items()
-                    if face in ref_faces["central_edges_primary"]}
-    edge_secondary = {label for label, (face, _, _) in position.items()
-                      if face in ref_faces["central_edges_secondary"]}
-
-    blocks: dict[str, tuple[tuple[int, ...], ...]] = {}
-
-    blocks["corners"] = _orient_corner_blocks(
-        geometric["corners"], corner_ref_labels, gen_list)
-
-    # reference marking per edge: the U/D sticker when the edge touches
-    # those faces, else (equator edges) the F/B sticker
-    edge_blocks = []
-    for b in geometric["central_edges"]:
-        refs = [s for s in b if s in edge_primary] or [s for s in b if s in edge_secondary]
-        if len(refs) != 1:
-            raise ValueError("central edge without a unique reference sticker")
-        ref = refs[0]
-        other = b[0] if b[1] == ref else b[1]
-        edge_blocks.append((ref, other))
-    blocks["central_edges"] = tuple(sorted(edge_blocks, key=min))
-
-    wing_orbits = [o for o in gen_orbits if o <= classes["wings"]]
-    if len(wing_orbits) != 2:
-        raise ValueError("expected exactly two chiral wing orbits")
-    side_a = min(wing_orbits, key=min)
-    wing_blocks = []
-    for b in geometric["wings"]:
-        first = [s for s in b if s in side_a]
-        if len(first) != 1:
-            raise ValueError("wing block does not span both chiral orbits")
-        other = b[0] if b[1] == first[0] else b[1]
-        wing_blocks.append((first[0], other))
-    blocks["wings"] = tuple(sorted(wing_blocks, key=min))
-
-    for name in ("plus_centers", "x_centers"):
-        blocks[name] = tuple((s,) for s in sorted(classes[name]))
+    for s in range(1, 145):
+        pieces.setdefault(offset[s], []).append(s)
+    blocks: dict[str, list[tuple[int, ...]]] = {name: [] for name in CLASS_ORDER[5]}
+    for o, piece in pieces.items():
+        piece.sort(key=lambda s: (not normal[s][1], not normal[s][2]))  # U/D, F/B, L/R
+        name = kind[piece[0]]
+        if name == "corners" and _det(*(normal[s] for s in piece)) > 0:
+            piece[1], piece[2] = piece[2], piece[1]
+        elif name == "wings" and _det(normal[piece[0]], normal[piece[1]], o) < 0:
+            piece.reverse()
+        blocks[name].append(tuple(piece))
 
     return StickerModel(
         size=5,
         degree=144,
         generators=gens,
-        classes={k: frozenset(v) for k, v in classes.items()},
-        blocks=blocks,
+        classes={name: frozenset(s for s in kind if kind[s] == name) for name in CLASS_ORDER[5]},
+        blocks={name: tuple(sorted(b, key=min)) for name, b in blocks.items()},
         source_text=dict(GENERATOR_TABLES),
     )
-
-
-def _orient_corner_blocks(geometric, ref_labels, gen_list):
-    """Assign each corner block an ordered sticker triple: reference
-    sticker first, then the propagated rotation order.
-
-    The rotation sense is seeded at one root block and pushed through
-    the generators; physical moves preserve chirality, so every block
-    receives a consistent cyclic order (verified during the walk).
-    Flipping the root choice would flip every block simultaneously and
-    only negate twist coordinates.
-    """
-    block_sets = [frozenset(b) for b in geometric]
-    index_of = {b: i for i, b in enumerate(block_sets)}
-    sticker_block = {s: i for i, b in enumerate(block_sets) for s in b}
-
-    def rotate_to_ref(triple):
-        ref = [s for s in triple if s in ref_labels]
-        if len(ref) != 1:
-            raise ValueError("corner block without a unique U/D reference sticker")
-        k = triple.index(ref[0])
-        return triple[k:] + triple[:k]
-
-    root = 0
-    a, b, c = sorted(block_sets[root])
-    ordered: dict[int, tuple[int, int, int]] = {root: rotate_to_ref((a, b, c))}
-    queue = [root]
-    while queue:
-        i = queue.pop(0)
-        triple = ordered[i]
-        for g in gen_list:
-            image = tuple(g(s) for s in triple)
-            j = sticker_block[image[0]]
-            rotated = rotate_to_ref(image)
-            if j not in ordered:
-                ordered[j] = rotated
-                queue.append(j)
-            elif ordered[j] != rotated:
-                raise ValueError("corner chirality propagation is inconsistent")
-    if len(ordered) != len(block_sets):
-        raise ValueError("corner blocks are not connected under the generators")
-    return tuple(ordered[index_of[b]] for b in sorted(block_sets, key=min))
 
 
 def _restrict(p: Permutation, keep: list[int]) -> Permutation:

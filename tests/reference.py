@@ -29,6 +29,70 @@ def is_identity(p: Permutation) -> bool:
     return p == identity(p.degree)
 
 
+def _find(parent, a):
+    """Root of a in the union-find forest `parent`, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
+def orbits(gens, degree: int | None = None) -> list[frozenset[int]]:
+    """Finest partition of {1..N} closed under all generators,
+    as frozensets sorted by least element."""
+    gens = list(gens)
+    if degree is None:
+        if not gens:
+            raise ValueError("degree required when the generator list is empty")
+        degree = gens[0].degree
+    if any(g.degree != degree for g in gens):
+        raise ValueError("degree mismatch")
+    parent = list(range(degree))
+    for g in gens:
+        for i, x in enumerate(g.raw):
+            ra, rb = _find(parent, i), _find(parent, x)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for i in range(degree):
+        groups.setdefault(_find(parent, i), []).append(i + 1)
+    return sorted((frozenset(v) for v in groups.values()), key=min)
+
+
+def block_system(gens, points, seed_pair) -> list[frozenset[int]] | None:
+    """Smallest invariant partition of `points` with `seed_pair` in one block.
+
+    `points` must be closed under every generator (usually an orbit).
+    Returns None when the closure collapses to a single block covering
+    all of `points` (for a transitive action this means primitivity was
+    not broken by the seed).
+    """
+    pts = frozenset(points)
+    a0, b0 = seed_pair
+    if a0 not in pts or b0 not in pts:
+        raise ValueError("seed points outside the given point set")
+    gens = list(gens)
+    for g in gens:
+        if any(g(a) not in pts for a in pts):
+            raise ValueError("generators do not preserve the point set")
+    parent = {a: a for a in pts}
+    stack = [(a0, b0)]
+    while stack:
+        a, b = stack.pop()
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            continue
+        parent[ra] = rb
+        for g in gens:
+            stack.append((g(a), g(b)))
+    blocks: dict[int, list[int]] = {}
+    for a in pts:
+        blocks.setdefault(_find(parent, a), []).append(a)
+    if len(blocks) == 1:
+        return None
+    return sorted((frozenset(v) for v in blocks.values()), key=min)
+
+
 _PR_SLOTS = 10
 _PR_BURNIN = 60
 

@@ -1,21 +1,62 @@
-import hashlib
+import copy
 import random
 
 import pytest
 
-from cubegal.cubes import (GENERATOR_TABLES, TABLES_SHA256, canonical_table_text,
-                           cube_model, load_net, order_bound)
-from cubegal.perm import Permutation, orbits, parse_cycles
+from cubegal import cubes
+from cubegal.cubes import GENERATOR_TABLES, cube_model, load_net, order_bound
+from cubegal.perm import Permutation, parse_cycles
 from cubegal.structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
                                r4_predicted_order, r5_predicted_order)
 from reference import (ConfigTuple, copy_model, decode_config, encode_config, identity,
-                       induced_cubie_perm, is_identity, orientation_sum, random_elements,
-                       sign_assignment, sign_image, sign_vector, superflip_permutation,
-                       validity_check, with_cycle)
+                       induced_cubie_perm, is_identity, orbits, orientation_sum,
+                       random_elements, sign_assignment, sign_image, sign_vector,
+                       superflip_permutation, validity_check, with_cycle)
 
 
-def test_table_integrity():
-    assert hashlib.sha256(canonical_table_text().encode()).hexdigest() == TABLES_SHA256
+def _swap_in_cycle(tables, faces):
+    tables["r1"] = tables["r1"].replace("(40 88 9 96)", "(40 9 88 96)", 1)
+
+
+def _reverse_cycle(tables, faces):
+    tables["r1"] = tables["r1"].replace("(40 88 9 96)", "(96 9 88 40)", 1)
+
+
+def _exchange_slices(tables, faces):
+    tables["r2"], tables["l2"] = tables["l2"], tables["r2"]
+
+
+def _swap_net_labels(tables, faces):
+    # labels 1 and 2; u1, the first table to move either, names the fault
+    row = faces["F"][0]
+    row[0], row[1] = row[1], row[0]
+
+
+def _point_out_of_range(tables, faces):
+    tables["b2"] = tables["b2"].replace("(54 81 43 64)", "(54 81 43 145)", 1)
+
+
+def _label_on_a_center(tables, faces):
+    faces["F"][2][2], faces["F"][0][0] = faces["F"][0][0], None
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (_swap_in_cycle, "move r1 is not"), (_reverse_cycle, "move r1 is not"),
+    (_exchange_slices, "move r2 is not"), (_swap_net_labels, "move u1 is not"),
+    (_point_out_of_range, "move b2: point 145 out of range"),
+    (_label_on_a_center, "a net label lies off the stickers")],
+    ids=["swap-in-cycle", "reverse-cycle", "exchange-r2-l2", "swap-net-labels",
+         "point-out-of-range", "label-on-a-center"])
+def test_tables_must_be_the_quarter_turns_of_the_net(monkeypatch, mutate, error):
+    # what the tables mean is pinned here, their spelling by the golden
+    # gens output; every mutant keeps the labels 1..144 in the net
+    tables, net = dict(GENERATOR_TABLES), copy.deepcopy(load_net())
+    mutate(tables, net["faces"])
+    assert (tables, net) != (GENERATOR_TABLES, load_net())
+    monkeypatch.setattr(cubes, "GENERATOR_TABLES", tables)
+    monkeypatch.setattr(cubes, "load_net", lambda: net)
+    with pytest.raises(ValueError, match=f"^{error}"):
+        cubes._build_r5()
 
 
 def test_net_is_versioned_and_complete():

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from cubegal.perm import (CycleType, Permutation, block_system, orbits,
-                          parse_cycles, print_cycles)
+from cubegal.perm import CycleType, Permutation, parse_cycles, print_cycles
 from cubegal.cubes import GENERATOR_TABLES
-from reference import identity, is_identity
+from reference import block_system, identity, is_identity, orbits
 
 
 def test_parse_single_cycle():

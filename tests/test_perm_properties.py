@@ -6,8 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cubegal.perm import Permutation, orbits, parse_cycles, print_cycles
-from reference import identity
+from cubegal.perm import Permutation, parse_cycles, print_cycles
+from reference import identity, orbits
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
 
