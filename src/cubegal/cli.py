@@ -179,6 +179,8 @@ def _cmd_frobenius(args) -> int:
 def _frobenius_report(args, f) -> int:
     from .evidence import (DEFAULT_SCAN_BUDGET, certify_symmetric, predict_wreath_types,
                            scan, types_within)
+    from .polyq import discriminant
+    from .sqclass import is_square
     budget = DEFAULT_SCAN_BUDGET if args.primes is None else args.primes
     checks: list[CheckReport] = []
     lines: list[str] = []
@@ -196,14 +198,18 @@ def _frobenius_report(args, f) -> int:
     ))
     if args.certify == "symmetric":
         start = time.perf_counter()
-        cert = certify_symmetric(f, budget, jobs=args.jobs)
+        cert = certify_symmetric(f, budget)
         ms = int((time.perf_counter() - start) * 1000)
         if cert is None:
+            # a square discriminant ends the search before its first prime
+            square = is_square(discriminant(f))
             checks.append(CheckReport(
                 check_id="frobenius.certify_symmetric", status="inconclusive",
                 expected="transitive + 2-transitive + prime-cycle witnesses "
                          "and nonsquare discriminant",
-                actual="no certificate within the prime budget",
+                actual=("the discriminant is a square, so the group lies in A_n; "
+                        "no prime was examined" if square
+                        else "no certificate within the prime budget"),
                 citation="symmetric-group certification chain", ms=ms))
         else:
             ok = cert.revalidate(f)

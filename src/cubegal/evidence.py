@@ -18,8 +18,8 @@ Every scan, linkage and certificate uses one budget and one stop rule,
 written once in `_good_rows`: it examines the first primes good for all
 of its polynomials, and stops after `budget` of them or after
 _SEARCH_FACTOR (10) x `budget` primes examined, good or bad, whichever
-comes first.  Scans and certificates draw types from one stream that
-may start a worker pool; linkages start none.
+comes first.  Scans and certificates draw types from one stream, and
+only a scan may start a worker pool; certificates run in process.
 
 The certifier's soundness chain, each step classical (see Wielandt,
 "Finite Permutation Groups", Th. 13.9, or Dixon & Mortimer, "Permutation
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
@@ -114,22 +114,20 @@ def _good_rows(budget: int, rows, bad: list[int] | None = None):
             return
 
 
-def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = None):
-    """Yield (p, types) for consecutive primes p good for every poly in
-    polys, where types[i] is the Frobenius cycle type of polys[i] at p,
-    under the stop rule of `_good_rows`.
+def _frobenius_stream(f: PolyQ, jobs: int, budget: int, bad: list[int] | None = None):
+    """Yield (p, [t]) for consecutive primes p good for f, t being the
+    Frobenius cycle type of f at p, under the stop rule of `_good_rows`.
 
     Types come from the shared cache _TYPES, which has no bound (a verify
     suite leaves at most 1,021 keys in it); misses are computed here at
     jobs == 1, one prime at a time, so no prime is drawn ahead of the
     consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
     the misses of each batch go to one worker pool, started at the first
-    miss and shut down when the stream ends or is closed.  A batch has at
-    most _POOL_CHUNK * len(polys) / _MAP_CHUNK tasks, so the pool has no
-    more workers than that, whatever `jobs` asks.  The batches bound the
-    types computed ahead of the consumer (Executor.map would compute all
-    _SEARCH_FACTOR * budget up front).  A caller that stops early closes
-    the stream with contextlib.closing, so the pool never outlives it.
+    miss and shut down when the stream ends.  A batch has at most
+    _POOL_CHUNK / _MAP_CHUNK tasks, so the pool has no more workers than
+    that, whatever `jobs` asks.  The batches bound the types computed
+    ahead of the consumer (Executor.map would compute all
+    _SEARCH_FACTOR * budget up front).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -138,10 +136,9 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
         def rows(examined):
             pool = None
             for batch in iter(lambda: list(islice(examined, batch_size)), []):
-                keys = dict.fromkeys((f, q) for q in batch for f in polys)
-                misses = [key for key in keys if key not in _TYPES]
+                misses = [(f, q) for q in batch if (f, q) not in _TYPES]
                 if misses and jobs > 1 and pool is None:
-                    workers = min(jobs, -(-_POOL_CHUNK * len(polys) // _MAP_CHUNK))
+                    workers = min(jobs, _POOL_CHUNK // _MAP_CHUNK)
                     # through the module, so the lazy name above resolves
                     pool_class = sys.modules[__name__].ProcessPoolExecutor
                     pool = stack.enter_context(pool_class(max_workers=workers))
@@ -151,7 +148,7 @@ def _frobenius_stream(polys, jobs: int, budget: int, bad: list[int] | None = Non
                     computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
                 _TYPES.update(zip(misses, computed))
                 for q in batch:
-                    yield q, [_TYPES[f, q] for f in polys]
+                    yield q, [_TYPES[f, q]]
 
         yield from _good_rows(budget, rows, bad)
 
@@ -207,7 +204,7 @@ def scan(f: PolyQ, prime_budget: int = DEFAULT_SCAN_BUDGET, *,
     if poly_id is None:
         poly_id = f"deg{f.degree}-{abs(hash(f)) % 10**8:08d}"
     bad: list[int] = []
-    types_by_prime = {p: t for p, (t,) in _frobenius_stream([f], jobs, prime_budget, bad)}
+    types_by_prime = {p: t for p, (t,) in _frobenius_stream(f, jobs, prime_budget, bad)}
     if len(types_by_prime) < min(5, prime_budget):
         raise ValueError(f"only {len(types_by_prime)} good primes within "
                          f"{_SEARCH_FACTOR}x budget")
@@ -317,8 +314,8 @@ def _jordan_witness(t: CycleType, n: int, q: int | None = None) -> int | None:
     return None
 
 
-def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
-                      jobs: int = 1) -> SymmetricCertificate | None:
+def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET
+                      ) -> SymmetricCertificate | None:
     """Search the budget's good primes for the three witnesses; None
     means inconclusive.
 
@@ -335,20 +332,19 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET, *,
         return None
     transitive = primitive = jordan = None
     jordan_q = None
-    with closing(_frobenius_stream([f], jobs, prime_budget)) as stream:
-        for p, (t,) in stream:
-            if transitive is None and t.parts == (n,):
-                transitive = p
-            if primitive is None and t.parts == (n - 1, 1):
-                primitive = p
-            if jordan is None:
-                q = _jordan_witness(t, n)
-                if q is not None:
-                    jordan, jordan_q = p, q
-            if transitive and primitive and jordan:
-                return SymmetricCertificate(degree=n, transitive_prime=transitive,
-                                            primitive_prime=primitive, jordan_prime=jordan,
-                                            jordan_cycle=jordan_q)
+    for p, (t,) in _frobenius_stream(f, 1, prime_budget):
+        if transitive is None and t.parts == (n,):
+            transitive = p
+        if primitive is None and t.parts == (n - 1, 1):
+            primitive = p
+        if jordan is None:
+            q = _jordan_witness(t, n)
+            if q is not None:
+                jordan, jordan_q = p, q
+        if transitive and primitive and jordan:
+            return SymmetricCertificate(degree=n, transitive_prime=transitive,
+                                        primitive_prime=primitive, jordan_prime=jordan,
+                                        jordan_cycle=jordan_q)
     return None
 
 
@@ -367,17 +363,15 @@ class LinkageReport:
         return not self.violations
 
 
-def _linkage(polys, prime_budget: int, jobs: int) -> LinkageReport:
+def _linkage(polys, prime_budget: int) -> LinkageReport:
     """Check sign(polys[0]) == product of the other signs at every prime
     good for all of them, under the stop rule of `_good_rows`;
     violations are (p, *signs).
 
     Each sign is `frobenius_sign`, the Legendre symbol of disc f at odd
     p, which costs less than handing its key to a worker; so a linkage
-    computes no type past p = 2 and starts no pool, whatever `jobs` is.
+    computes no type past p = 2 and runs in process.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(discriminant(poly) == 0 for poly in polys):
         raise ValueError("inputs must be separable")
 
@@ -391,18 +385,16 @@ def _linkage(polys, prime_budget: int, jobs: int) -> LinkageReport:
 
 
 def parity_linkage(f: PolyQ, g: PolyQ,
-                   prime_budget: int = DEFAULT_LINKAGE_BUDGET, *,
-                   jobs: int = 1) -> LinkageReport:
+                   prime_budget: int = DEFAULT_LINKAGE_BUDGET) -> LinkageReport:
     """Check sign(f) == sign(g) at every prime good for both, the sign
     being that of a Frobenius element.  Discriminants in one square
     class force linkage; a violating prime is a constructive witness of
     distinct classes.  Violations are (p, sign of f, sign of g)."""
-    return _linkage([f, g], prime_budget, jobs)
+    return _linkage([f, g], prime_budget)
 
 
 def triple_parity_linkage(f: PolyQ, g2: PolyQ, g3: PolyQ,
-                          prime_budget: int = DEFAULT_TRIPLE_BUDGET, *,
-                          jobs: int = 1) -> LinkageReport:
+                          prime_budget: int = DEFAULT_TRIPLE_BUDGET) -> LinkageReport:
     """Check sign(f) == sign(g2) * sign(g3) at every common good prime.
     Violations are (p, sign of f, sign of g2, sign of g3)."""
-    return _linkage([f, g2, g3], prime_budget, jobs)
+    return _linkage([f, g2, g3], prime_budget)

@@ -213,7 +213,7 @@ def _run_certify(checks: list[CheckReport], check_id: str, citation: str,
     """A symmetric-group certificate check; no certificate within the
     budget is reported as inconclusive, not as a failure."""
     def certify():
-        cert = certify_symmetric(poly, opts.certify_budget, jobs=opts.jobs)
+        cert = certify_symmetric(poly, opts.certify_budget)
         if cert is None:
             return None, "inconclusive"
         return cert.revalidate(poly), cert.witnesses()
@@ -325,10 +325,10 @@ def _rubik_checks(opts: SuiteOptions, f: PolyQ) -> list[CheckReport]:
          "equal discriminant classes force equal Frobenius parities "
          "(f against the degree-12 companion)",
          "0 violations",
-         lambda: _violations(parity_linkage(f, q, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, q)))
 
     def linkage_literal():
-        ok, text = _violations(parity_linkage(f, g, jobs=opts.jobs))
+        ok, text = _violations(parity_linkage(f, g))
         if ok is not False:
             return ok, text
         return None, (f"{text}; the g-side parity is constantly +1 (disc g is "
@@ -373,7 +373,7 @@ def verify_revenge(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run(checks, "revenge.parity_linkage_fg",
          "equal discriminant classes force equal Frobenius parities",
          "0 violations",
-         lambda: _violations(parity_linkage(f, g, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, g)))
 
     _run_order(checks, "revenge.fiber_order_n4", "Revenge Cube", r4_predicted_order, R4_ORDER)
 
@@ -447,12 +447,12 @@ def verify_professor(opts: SuiteOptions | None = None) -> list[CheckReport]:
     _run(checks, "professor.parity_linkage_f_h1",
          "f and the derived first factor share the class 7c, forcing linked parities",
          "0 violations",
-         lambda: _violations(parity_linkage(f, h1d, jobs=opts.jobs)))
+         lambda: _violations(parity_linkage(f, h1d)))
 
     _run(checks, "professor.triple_parity_linkage_f_h2_h3",
          "parity of f must equal the parity product of the h2, h3 factors",
          "0 violations",
-         lambda: _violations(triple_parity_linkage(f, h2, h3, jobs=opts.jobs)))
+         lambda: _violations(triple_parity_linkage(f, h2, h3)))
     return checks
 
 

@@ -162,8 +162,7 @@ def test_criterion_6_frobenius_type_containment():
 
 def test_criterion_6_triple_parity_linkage():
     started = time.perf_counter()
-    rep = triple_parity_linkage(rubik_f(), professor_h2(), professor_h3(),
-                                200, jobs=JOBS)
+    rep = triple_parity_linkage(rubik_f(), professor_h2(), professor_h3(), 200)
     ok = rep.ok and rep.primes_checked == 200
     _report("criterion 6 (triple parity linkage, 200 primes)", ok,
             f"{len(rep.violations)} violations over {rep.primes_checked} primes",
@@ -176,8 +175,8 @@ def test_criterion_6_parity_linkage_fg_as_stated():
     """The literal criterion text: parity_linkage(f, g) has zero
     violations.  Expected to FAIL; see the assertion message."""
     started = time.perf_counter()
-    literal = parity_linkage(rubik_f(), rubik_g(), 500, jobs=JOBS)
-    resolvent = parity_linkage(rubik_f(), rubik_g_resolvent(), 500, jobs=JOBS)
+    literal = parity_linkage(rubik_f(), rubik_g(), 500)
+    resolvent = parity_linkage(rubik_f(), rubik_g_resolvent(), 500)
     _report("criterion 6 (parity linkage f-g, literal pair)", literal.ok,
             f"literal violations: {len(literal.violations)}/500; "
             f"resolvent violations: {len(resolvent.violations)}/500", started)
@@ -204,7 +203,7 @@ def test_criterion_7_symmetric_certification():
     }
     results = {}
     for name, poly in targets.items():
-        cert = certify_symmetric(poly, 2000, jobs=JOBS)
+        cert = certify_symmetric(poly, 2000)
         results[name] = cert is not None and cert.revalidate(poly)
     ok = all(results.values())
     _report("criterion 7 (symmetric certification within 2000 primes)", ok,

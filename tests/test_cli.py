@@ -13,7 +13,7 @@ from cubegal.cubes import GENERATOR_TABLES, cube_model
 from cubegal.perm import parse_cycles, print_cycles
 from cubegal.polyq import PolyQ, discriminant, exact_str, trinomial_poly
 from cubegal.structure import R3_ORDER
-from cubegal.theorems import revenge_h, rubik_f
+from cubegal.theorems import revenge_h, rubik_f, rubik_g
 from reference import save_poly
 
 
@@ -146,6 +146,18 @@ def test_frobenius_certify(tmp_path, capsys):
                         "--primes", "400", "--certify", "symmetric", "--jobs", "1")
     assert code == 0
     assert "witnesses" in out
+
+
+def test_frobenius_certify_says_a_square_discriminant_examines_no_prime(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    save_poly(rubik_g(), path)  # disc g is a square, so certify_symmetric stops at once
+    code, out = run_cli(capsys, "frobenius", "--poly", str(path), "--primes", "20",
+                        "--certify", "symmetric", "--jobs", "1", "--report", "json")
+    assert code == 0
+    cert = json.loads(out)["checks"][1]
+    assert cert["status"] == "inconclusive"
+    assert cert["actual"] == ("the discriminant is a square, so the group lies in A_n; "
+                              "no prime was examined")
 
 
 def test_frobenius_wreath_containment(tmp_path, capsys):

@@ -248,9 +248,9 @@ def _evidence_of_all_four(jobs):
     third = PolyQ.from_coeffs([-2, 0, 0, 1])                # disc -108
     return (
         scan(cubic, 150, jobs=jobs, poly_id="cubic"),
-        certify_symmetric(trinomial_poly(1), 400, jobs=jobs),
-        parity_linkage(cubic, other, 150, jobs=jobs),
-        triple_parity_linkage(cubic, other, third, 150, jobs=jobs),
+        certify_symmetric(trinomial_poly(1), 400),
+        parity_linkage(cubic, other, 150),
+        triple_parity_linkage(cubic, other, third, 150),
     )
 
 
@@ -279,14 +279,14 @@ def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
     cold_cache.clear()
     parallel = _evidence_of_all_four(2)
     assert parallel == serial
-    # the scan and the certificate had misses: one pool each, all shut down
-    # before returning; the linkages read signs and start none
-    assert len(started) == 2
+    # only the scan starts a pool, shut down before it returns; the
+    # certificate computes its misses in process, and the linkages read signs
+    assert len(started) == 1
     assert stopped == started
     cold_cache.clear()
     cubic, other = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1]), PolyQ.from_coeffs([-1, -1, 0, 1])
-    assert parity_linkage(cubic, other, 150, jobs=2) == pair
-    assert len(started) == 2 and not cold_cache
+    assert parity_linkage(cubic, other, 150) == pair
+    assert len(started) == 1 and not cold_cache
 
 
 def test_pool_has_no_more_workers_than_a_batch_has_tasks(cold_cache, monkeypatch):
@@ -343,15 +343,8 @@ def test_fully_cached_call_starts_no_pool(cold_cache, monkeypatch):
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_jobs_below_one_rejected(jobs):
     cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
-    other = PolyQ.from_coeffs([-1, -1, 0, 1])
     with pytest.raises(ValueError):
         scan(cubic, 10, jobs=jobs)
-    with pytest.raises(ValueError):
-        certify_symmetric(trinomial_poly(1), 10, jobs=jobs)
-    with pytest.raises(ValueError):
-        parity_linkage(cubic, other, 10, jobs=jobs)
-    with pytest.raises(ValueError):
-        triple_parity_linkage(cubic, other, other, 10, jobs=jobs)
 
 
 # -- the stop rule: budget good primes, or 10x the budget examined ------------
@@ -434,10 +427,10 @@ def _evidence_at_the_edges(jobs):
     third = PolyQ.from_coeffs([-2, 0, 0, 1])
     out = [
         scan(cubic, 100, jobs=jobs),
-        parity_linkage(cubic, other, 70, jobs=jobs),
-        triple_parity_linkage(cubic, other, third, 90, jobs=jobs),
-        certify_symmetric(_BAD_SMALL_PRIMES_OCTIC, 2, jobs=jobs),
-        parity_linkage(cubic, _BAD_SMALL_PRIMES_OCTIC, 2, jobs=jobs),
+        parity_linkage(cubic, other, 70),
+        triple_parity_linkage(cubic, other, third, 90),
+        certify_symmetric(_BAD_SMALL_PRIMES_OCTIC, 2),
+        parity_linkage(cubic, _BAD_SMALL_PRIMES_OCTIC, 2),
     ]
     try:
         scan(PolyQ.from_coeffs([1, 2, 1]), 10, jobs=jobs)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cubegal.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,25 +68,31 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 """
 
 
-def test_order_and_gens_leave_the_number_layer_unimported():
+_NUMBER_LAYER = ["cubegal.evidence", "cubegal.theorems", "cubegal.polymod",
+                 "cubegal.polyq", "cubegal.sqclass", "concurrent.futures.process"]
+_HEAVY = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
+
+
+@pytest.fixture(scope="module")
+def layering():
+    # one interpreter serves both pins below; -S keeps site .pth files
+    # from preloading any of the probed modules
+    run = subprocess.run([sys.executable, "-S", "-c", _LAYERING_PROBE, *_NUMBER_LAYER, *_HEAVY],
+                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got["codes"] == [0, 0, 0] and got["theorems_after_verify"] is True
+    return set(got["loaded"])
+
+
+def test_order_and_gens_leave_the_number_layer_unimported(layering):
     # cold start: order and gens need only perm, bsgs, cubes and structure
-    number_layer = ["cubegal.evidence", "cubegal.theorems", "cubegal.polymod",
-                    "cubegal.polyq", "cubegal.sqclass", "concurrent.futures.process"]
-    run = subprocess.run([sys.executable, "-c", _LAYERING_PROBE, *number_layer],
-                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
-    got = json.loads(run.stdout)
-    assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
+    assert sorted(layering & set(_NUMBER_LAYER)) == []
 
 
-def test_order_and_gens_leave_dataclasses_unimported():
+def test_order_and_gens_leave_dataclasses_unimported(layering):
     # CycleType, CheckReport and StickerModel are plain classes, so the
-    # order path skips dataclasses and the modules it imports; -S keeps
-    # site .pth files from preloading any of them
-    heavy = ["ast", "dataclasses", "dis", "inspect", "tokenize"]
-    run = subprocess.run([sys.executable, "-S", "-c", _LAYERING_PROBE, *heavy],
-                         env=_ENV, cwd=ROOT, capture_output=True, text=True, check=True)
-    got = json.loads(run.stdout)
-    assert got == {"codes": [0, 0, 0], "loaded": [], "theorems_after_verify": True}
+    # order path skips dataclasses and the modules it imports
+    assert sorted(layering & set(_HEAVY)) == []
 
 
 _LAZY_IMPORT_PROBE = """\
@@ -112,7 +120,14 @@ def test_openssl_and_the_pool_stack_load_only_where_they_are_used():
     assert json.loads(run.stdout) == [0, [], 0, False, 0, pool_stack]
 
 
-def test_probe_counts_one_pool_per_call_with_misses_at_jobs_2(tmp_path):
+# pools a --jobs 2 run starts (None: the count is absent): rubik scans f
+# and g and revenge scans the rubik pair, each with cache misses, while
+# professor runs no scan; certificates and parity linkages run in process
+_POOLS_AT_JOBS_2 = {"rubik": 2, "revenge": 2, "professor": None}
+
+
+@pytest.mark.parametrize("suite", _POOLS_AT_JOBS_2)
+def test_probe_counts_one_pool_per_call_with_misses_at_jobs_2(tmp_path, suite):
     # probe.py subclasses evidence.ProcessPoolExecutor, a lazily imported
     # name, and installs the subclass; every pool must still go through it
     runs = {}
@@ -120,16 +135,14 @@ def test_probe_counts_one_pool_per_call_with_misses_at_jobs_2(tmp_path):
         out = tmp_path / f"counts_j{jobs}.json"
         run = subprocess.run(
             [sys.executable, str(ROOT / "benchmarks" / "probe.py"), "--spans", "0",
-             "--out", str(out), "--", "verify", "--theorem", "rubik", "--primes", "25",
+             "--out", str(out), "--", "verify", "--theorem", suite, "--primes", "25",
              "--jobs", jobs, "--report", "json"],
             cwd=ROOT, capture_output=True, text=True, check=True)
         report = json.loads(run.stdout)
         for check in report["checks"]:
             del check["ms"]
         runs[jobs] = report, json.loads(out.read_text())["counts"]
-    # scan f and scan g, each with cache misses; the two parity linkages
-    # read signs and start no pool
-    assert runs["2"][1]["evidence.pool"] == 2
+    assert runs["2"][1].get("evidence.pool") == _POOLS_AT_JOBS_2[suite]
     assert "evidence.pool" not in runs["1"][1]
     assert runs["2"][0] == runs["1"][0]
 
