@@ -24,17 +24,17 @@ which reduces mod p once per division.  A batch of degrees shares one
 gcd, and refining it stops, with no further gcd, as soon as the degree
 of what is left admits only one multiset of factor degrees.
 
-`frobenius_type` reads a rational polynomial at a prime, and decides
-squarefreeness from disc f mod p (computed once per polynomial) rather
-than from gcd(f, f').  Stickelberger's theorem then checks every type
-it returns: the degrees sum to deg f, and at odd p the parity equals
-the Legendre symbol (disc f / p).  At p = 2 the gcd still runs and is
-checked against disc f mod 2.  A type that fails its check raises
+`frobenius_type` reads a rational polynomial at a prime through its
+integer form, `num` over `den`, and builds no `PolyFp`: the monic
+residues are num_k / num_n mod p, and squarefreeness comes from disc f
+mod p (cached per polynomial), not from gcd(f, f').  Stickelberger's
+theorem checks every type: the degrees sum to deg f, and at odd p the
+parity is the Legendre symbol (disc f / p).  At p = 2 the gcd still runs
+and is checked against disc f mod 2.  A failed check raises
 ArithmeticError, so a kernel fault cannot pass as evidence.
-`frobenius_sign` returns only that parity: at odd p it is the Legendre
-symbol itself, by Euler's criterion, with no DDF.  One helper,
-`_stickelberger`, holds the goodness rule and the expected sign for
-both.  `ddf_cycle_type`, on a polynomial already over F_p, keeps the gcd.
+`frobenius_sign` at odd p is that symbol, by Euler's criterion, with no
+DDF.  `_stickelberger` holds the goodness rule and the expected sign
+for both.  `ddf_cycle_type`, on a polynomial over F_p, keeps the gcd.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -337,12 +337,26 @@ class _Residues:
 
 
 def _mod_p(c: Fraction, p: int) -> int | None:
-    """The residue of c mod p; None when p divides its denominator."""
-    if c.denominator == 1:
-        return c.numerator % p
+    """The residue of c (disc f) mod p; None when p divides its denominator."""
     if c.denominator % p == 0:
         return None
-    return c.numerator * pow(c.denominator, -1, p) % p
+    return c.numerator % p * pow(c.denominator, -1, p) % p
+
+
+def _reducible(f: PolyQ, p: int) -> bool:
+    """Whether f mod p keeps f's degree: p divides neither `den`, so no
+    reduced denominator, nor the leading numerator."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if f.is_zero:
+        raise ValueError("zero polynomial")
+    return f.den % p != 0 and f.num[-1] % p != 0
+
+
+def _monic(f: PolyQ, p: int) -> list[int]:
+    """The residues mod p of f / lc(f) = num / num_n, for reducible f."""
+    inv = pow(f.num[-1], -1, p)
+    return [c * inv % p for c in f.num]
 
 
 def reduce_mod_p(f: PolyQ, p: int):
@@ -352,14 +366,10 @@ def reduce_mod_p(f: PolyQ, p: int):
     denominator or the leading numerator, so degree would drop.
     Raises when p is not prime.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if f.is_zero:
-        raise ValueError("zero polynomial")
-    out = [_mod_p(c, p) for c in f.coeffs]
-    if None in out or out[-1] == 0:
+    if not _reducible(f, p):
         return None
-    return PolyFp(p, tuple(out))
+    inv = pow(f.den, -1, p)
+    return PolyFp(p, tuple(c * inv for c in f.num))
 
 
 def powmod(base: PolyFp, e: int, modpoly: PolyFp) -> PolyFp:
@@ -486,42 +496,34 @@ def ddf_cycle_type(f: PolyFp):
     return _ddf(fstar, p)
 
 
-# disc f for the last few polynomials seen; computed once per polynomial
-# in each process, pool workers included
-_discriminant = functools.lru_cache(maxsize=32)(discriminant)
-
-
 def _stickelberger(f: PolyQ, p: int):
-    """(reduction, sign) for f at p, or None when p is bad (undefined or
-    ramified reduction): the goodness rule and the parity that
-    Stickelberger's theorem then demands, shared by `frobenius_type` and
-    `frobenius_sign` so the two cannot disagree on either.
+    """The sign Stickelberger's theorem demands of a Frobenius element of
+    f at p, or None when p is bad (undefined or ramified reduction): the
+    goodness rule and the sign that `frobenius_type` and `frobenius_sign`
+    share, so the two cannot disagree on either.
 
-    Where the reduction is defined, p divides no denominator of disc f
-    (an integer polynomial in f's coefficients), and f mod p is
-    squarefree iff p does not divide disc f.  That decides squarefreeness
-    here, with disc f computed once per polynomial, so no gcd(f, f') runs
-    at odd p.  There the sign is the Legendre symbol (disc f / p), by
-    Euler's criterion.  At p = 2, where no such symbol applies, the sign
-    is None, and the gcd still decides squarefreeness; its verdict is
-    checked against disc f mod 2, and a disagreement is a kernel fault
-    that raises ArithmeticError.
+    Where the reduction is defined, p divides no denominator of disc f,
+    and f mod p is squarefree iff p does not divide disc f; so no
+    gcd(f, f') runs at odd p, and the sign is the Legendre symbol
+    (disc f / p) by Euler's criterion.  At p = 2 no such symbol applies
+    and the sign is 0; the gcd decides squarefreeness there, and a
+    verdict that disagrees with disc f mod 2 is a kernel fault that
+    raises ArithmeticError.
     """
-    reduced = reduce_mod_p(f, p)
-    if reduced is None:
+    if not _reducible(f, p):
         return None
-    if reduced.degree == 0:
+    if f.degree == 0:
         raise ValueError("constant polynomial")
-    disc = _mod_p(_discriminant(f), p)
+    disc = _mod_p(discriminant(f), p)
     if p == 2:
-        fstar = list(reduced.monic().coeffs)
+        fstar = _monic(f, p)
         if (len(_gcd(fstar, _deriv(fstar, p), p)) == 1) != bool(disc):
-            raise ArithmeticError(f"degree-{reduced.degree} polynomial at p=2: the "
+            raise ArithmeticError(f"degree-{f.degree} polynomial at p=2: the "
                                   f"squarefree gcd disagrees with disc f mod 2")
-        return (reduced, None) if disc else None
+        return 0 if disc else None
     if not disc:
         return None
-    return reduced, 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+    return 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
 
 
 def frobenius_type(f: PolyQ, p: int):
@@ -534,13 +536,12 @@ def frobenius_type(f: PolyQ, p: int):
     symbol (disc f / p).  A failed check is a kernel fault and raises
     ArithmeticError.
     """
-    good = _stickelberger(f, p)
-    if good is None:
+    sign = _stickelberger(f, p)
+    if sign is None:
         return None
-    reduced, sign = good
-    n = reduced.degree
-    t = _ddf(list(reduced.monic().coeffs), p)
-    if t.degree != n or (sign is not None and t.parity != sign):
+    n = f.degree
+    t = _ddf(_monic(f, p), p)
+    if t.degree != n or (sign and t.parity != sign):
         raise ArithmeticError(f"degree-{n} polynomial at p={p}: Frobenius type {t} "
                               f"contradicts Stickelberger's theorem")
     return t
@@ -558,5 +559,4 @@ def frobenius_sign(f: PolyQ, p: int):
     if p == 2:
         t = frobenius_type(f, p)
         return None if t is None else t.parity
-    good = _stickelberger(f, p)
-    return None if good is None else good[1]
+    return _stickelberger(f, p)

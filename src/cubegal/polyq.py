@@ -1,11 +1,12 @@
 """Dense univariate polynomials over exact rationals.
 
 Coefficients are `fractions.Fraction` values stored in ascending degree
-order; the zero polynomial has an empty coefficient tuple.  Resultants
-are computed by fraction-free subresultant elimination on
-denominator-cleared integer polynomials (degree-24 Sylvester
-determinants are tractable but slow without fraction-free pivoting);
-the cleared denominator powers are reinstated symbolically at the end.
+order; the zero polynomial has an empty coefficient tuple.  Each
+polynomial also holds one integer form, made once: integer numerators
+over one common denominator.  Resultants are computed on it by
+fraction-free subresultant elimination (degree-24 Sylvester determinants
+are tractable but slow without fraction-free pivoting); the denominator
+powers are reinstated symbolically at the end.
 
 Sign convention, fixed here and pinned by tests:
 
@@ -21,6 +22,7 @@ is independent of that choice because n(n-1) is even.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -41,7 +43,9 @@ def _coerce(value) -> Fraction:
 
 @dataclass(frozen=True)
 class PolyQ:
-    """A polynomial over Q; `coeffs[k]` is the coefficient of X^k."""
+    """A polynomial over Q; `coeffs[k]` is the coefficient of X^k, and
+    Fraction(num[k], den), where `den` is the lcm of the reduced
+    denominators.  Equality, resultants and reductions mod p read those."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -55,11 +59,9 @@ class PolyQ:
         # costly.  Fraction and tuple hashes are not randomized, so the value
         # survives pickling.
         object.__setattr__(self, "_hash", hash((self.coeffs,)))
-        # equality compares numerators and denominators as one flat int
-        # tuple: a pool worker's unpickled key is a separate object, and
-        # Fraction.__eq__ on each coefficient costs about 40x more
-        key = tuple(x for c in cs for x in (c.numerator, c.denominator))
-        object.__setattr__(self, "_key", key)
+        den = math.lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
 
     def __hash__(self) -> int:
         return self._hash
@@ -67,7 +69,9 @@ class PolyQ:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key == other._key
+        # ints, not Fractions: a pool worker's unpickled key is a separate
+        # object, and Fraction.__eq__ on each coefficient costs about 40x more
+        return self.den == other.den and self.num == other.num
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "PolyQ":
@@ -193,12 +197,6 @@ def _int_resultant(a: list[int], b: list[int]) -> int:
             return sign * scale * (b[0] ** da // h ** (da - 1))
 
 
-def _clear_denominators(f: PolyQ) -> tuple[list[int], int]:
-    """(integer coefficient list, d) with f = (integer poly)/d."""
-    d = math.lcm(*(c.denominator for c in f.coeffs))
-    return [int(c * d) for c in f.coeffs], d
-
-
 def resultant(f: PolyQ, g: PolyQ) -> Fraction:
     """Exact resultant under the convention in the module docstring.
 
@@ -211,16 +209,16 @@ def resultant(f: PolyQ, g: PolyQ) -> Fraction:
         return f.lc ** m  # constant f evaluated at each root of g
     if m == 0:
         return g.lc ** n  # lc(g)^deg(f) times an empty product
-    fi, df = _clear_denominators(f)
-    gi, dg = _clear_denominators(g)
-    base = Fraction(_int_resultant(fi, gi), df ** m * dg ** n)
+    base = Fraction(_int_resultant(f.num, g.num), f.den ** m * g.den ** n)
     if n & m & 1:
         base = -base
     return base
 
 
+@functools.lru_cache(maxsize=32)
 def discriminant(f: PolyQ) -> Fraction:
-    """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f), exact."""
+    """disc(f) = (-1)^(n(n-1)/2) * Res(f, f') / lc(f), exact; computed
+    once per polynomial among the last 32, in each process."""
     n = f.degree
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")

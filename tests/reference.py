@@ -456,6 +456,13 @@ def sign_image(model: StickerModel) -> set[tuple[int, ...]]:
     return span
 
 
+def reference_reduction(f: PolyQ, p: int) -> tuple[int, ...] | None:
+    """The residues of f's coefficients mod p, each Fraction reduced on its
+    own; None when p divides a denominator or the leading numerator."""
+    out = [_mod_p(c, p) for c in f.coeffs]
+    return None if None in out or out[-1] == 0 else tuple(out)
+
+
 def legendre(a: Fraction | int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
     if p == 2 or not is_prime(p):

@@ -12,7 +12,7 @@ from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _Residues,
                              is_prime, powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
-from reference import legendre
+from reference import legendre, reference_reduction
 
 # the named polynomials of the theorem suites, h1 both as derived and as stated
 NAMED_POLYNOMIALS = {
@@ -353,6 +353,49 @@ def test_frobenius_sign_is_the_parity_of_the_type(name):
         assert 3 in bad
 
 
+# p = 3 divides only a non-leading denominator; 7 the leading numerator
+# and no denominator; 3 and 2 two denominators, as 1/p and 1/p^2 (and 3
+# and 7 the leading numerator 21 over 4); then p divides disc f = 81, 49,
+# -23, 20 and 5, the last with 2 dividing the denominator
+REDUCTION_CASES = [PolyQ.from_coeffs(cs) for cs in (
+    [1, "2/3", 0, 1], [1, 1, 0, 7], ["1/3", 1, "2/9", 1], ["1/2", 3, "21/4"],
+    [1, -3, 0, 1], [7, -7, 0, 1], [1, -1, 0, 1], [-5, 0, 1], ["-5/4", 0, 1])]
+
+
+def test_reductions_agree_with_the_fraction_oracle():
+    # goodness from f's integer form must be the per-Fraction rule: the
+    # reduction is defined and of full degree, and squarefree by gcd(f, f')
+    rng = random.Random(11)
+    pool = REDUCTION_CASES + [f() for f in NAMED_POLYNOMIALS.values()]
+    for _ in range(40):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                  for _ in range(rng.randint(2, 5))]
+        coeffs[-1] = coeffs[-1] or Fraction(1)
+        pool.append(PolyQ.from_coeffs(coeffs))
+    for f in pool:
+        for p in itertools.takewhile(lambda p: p < 200, primes()):
+            residues = reference_reduction(f, p)
+            got = reduce_mod_p(f, p)
+            assert (None if got is None else got.coeffs) == residues, (f, p)
+            good = residues is not None
+            if good:
+                monic = list(PolyFp(p, residues).monic().coeffs)
+                good = len(_gcd(monic, _deriv(monic, p), p)) == 1
+            assert (frobenius_type(f, p) is not None) is good, (f, p)
+            assert (frobenius_sign(f, p) is not None) is good, (f, p)
+
+
+def test_frobenius_builds_no_reduced_polynomial(monkeypatch):
+    # types and signs read the integer form, not a PolyFp, p = 2 included
+    def refuse(*args):
+        raise AssertionError("a PolyFp was built")
+    monkeypatch.setattr(polymod, "PolyFp", refuse)
+    for f in (theorems.rubik_f(), theorems.rubik_g(), professor_h2()):
+        for p in itertools.islice(primes(), 200):
+            t = frobenius_type(f, p)
+            assert frobenius_sign(f, p) == (None if t is None else t.parity), p
+
+
 @pytest.mark.parametrize("name", sorted(SIGNED_POLYNOMIALS))
 def test_frobenius_sign_matches_sympy_factor_count(name):
     # an independent oracle: the sign is (-1)^(n - r), r the number of
@@ -381,7 +424,7 @@ def test_frobenius_sign_at_two_is_the_checked_type_parity(monkeypatch):
     h = theorems.revenge_h()
     assert frobenius_sign(h, 2) == CycleType((21, 3)).parity == 1
     assert frobenius_sign(theorems.rubik_f(), 2) is frobenius_type(theorems.rubik_f(), 2) is None
-    monkeypatch.setattr(polymod, "_discriminant", lambda f: 2 * discriminant(f))
+    monkeypatch.setattr(polymod, "discriminant", lambda f: 2 * discriminant(f))
     with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=2"):
         frobenius_sign(h, 2)
 
@@ -404,7 +447,7 @@ def test_frobenius_type_checks_the_gcd_against_disc_at_two(monkeypatch):
     # X^24 - X - 1 is squarefree mod 2; a disc that claims otherwise is caught
     h = theorems.revenge_h()
     assert frobenius_type(h, 2) == CycleType((21, 3))
-    monkeypatch.setattr(polymod, "_discriminant", lambda f: 2 * discriminant(f))
+    monkeypatch.setattr(polymod, "discriminant", lambda f: 2 * discriminant(f))
     with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=2"):
         frobenius_type(h, 2)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -77,8 +78,8 @@ def test_hash_is_stable_across_construction_and_pickling():
 
 
 def test_equality_agrees_with_the_fraction_tuples():
-    # __eq__ compares cached numerator/denominator ints; it must decide as
-    # the coefficient Fractions do, and pickled copies must carry the key
+    # __eq__ compares the integer form, num over den; it must decide as the
+    # coefficient Fractions do, and pickled copies must carry that form
     rng = random.Random(5)
     pool = [PolyQ.from_coeffs(cs) for cs in (
         [1, 2], [2, 1], [1, 2, 0], ["1/2", 3], ["2/4", "6/2"], ["1/3", 3], ["-1/2", 3],
@@ -90,6 +91,8 @@ def test_equality_agrees_with_the_fraction_tuples():
     pool += [f, PolyQ.from_coeffs([str(c) for c in f.coeffs]),
              PolyQ(f.coeffs[:-1] + (f.coeffs[-1] * 2,))]
     for p in pool:
+        assert p.den == math.lcm(*(c.denominator for c in p.coeffs))
+        assert all(Fraction(n, p.den) == c for n, c in zip(p.num, p.coeffs, strict=True))
         for q in pool:
             assert (p == q) is (p.coeffs == q.coeffs)
             assert (p != q) is (p.coeffs != q.coeffs)
@@ -97,6 +100,7 @@ def test_equality_agrees_with_the_fraction_tuples():
                 assert hash(p) == hash(q)
         copy = pickle.loads(pickle.dumps(p))
         assert copy == p and hash(copy) == hash(p)
+        assert (copy.num, copy.den) == (p.num, p.den)
     assert f != f.coeffs and f != str(f)
 
 
