@@ -18,8 +18,9 @@ Every scan, linkage and certificate uses one budget and one stop rule,
 written once in `_good_rows`: it examines the first primes good for all
 of its polynomials, and stops after `budget` of them or after
 _SEARCH_FACTOR (10) x `budget` primes examined, good or bad, whichever
-comes first.  Scans and certificates draw types from one stream, and
-only a scan may start a worker pool; certificates run in process.
+comes first.  Scans and certificates draw types from one stream, which
+keeps nothing between calls.  Only a scan may start a worker pool, and
+the pool lives for that one call; certificates run in process.
 
 The certifier's soundness chain, each step classical (see Wielandt,
 "Finite Permutation Groups", Th. 13.9, or Dixon & Mortimer, "Permutation
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import islice, product
 from math import prod
@@ -67,9 +68,6 @@ MIN_DISTINCT_TYPES_S24 = 50
 EVEN_FRACTION_WINDOW = (0.45, 0.55)
 
 
-# process-wide Frobenius types, (poly, p) -> CycleType or None (bad p);
-# each value is a pure function of its key, so suites share it freely
-_TYPES: dict = {}
 # primes per batch handed to a worker pool
 _POOL_CHUNK = 64
 # (poly, p) keys per task that pool.map sends to a worker
@@ -114,43 +112,28 @@ def _good_rows(budget: int, rows, bad: list[int] | None = None):
             return
 
 
-def _frobenius_stream(f: PolyQ, jobs: int, budget: int, bad: list[int] | None = None):
+def _frobenius_stream(f: PolyQ, budget: int, bad: list[int] | None = None, pool=None):
     """Yield (p, [t]) for consecutive primes p good for f, t being the
     Frobenius cycle type of f at p, under the stop rule of `_good_rows`.
 
-    Types come from the shared cache _TYPES, which has no bound (a verify
-    suite leaves at most 1,021 keys in it); misses are computed here at
-    jobs == 1, one prime at a time, so no prime is drawn ahead of the
-    consumer.  At jobs > 1 primes are drawn in batches of _POOL_CHUNK and
-    the misses of each batch go to one worker pool, started at the first
-    miss and shut down when the stream ends.  A batch has at most
-    _POOL_CHUNK / _MAP_CHUNK tasks, so the pool has no more workers than
-    that, whatever `jobs` asks.  The batches bound the types computed
-    ahead of the consumer (Executor.map would compute all
-    _SEARCH_FACTOR * budget up front).
+    Without a pool each type is computed here, one prime at a time, so no
+    prime is drawn ahead of the consumer.  With one, primes are drawn in
+    batches of _POOL_CHUNK, and each batch is one `pool.map`; the batches
+    bound the types computed ahead of the consumer (Executor.map would
+    compute all _SEARCH_FACTOR * budget up front).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    batch_size = _POOL_CHUNK if jobs > 1 else 1
-    with ExitStack() as stack:
+    if pool is None:
         def rows(examined):
-            pool = None
-            for batch in iter(lambda: list(islice(examined, batch_size)), []):
-                misses = [(f, q) for q in batch if (f, q) not in _TYPES]
-                if misses and jobs > 1 and pool is None:
-                    workers = min(jobs, _POOL_CHUNK // _MAP_CHUNK)
-                    # through the module, so the lazy name above resolves
-                    pool_class = sys.modules[__name__].ProcessPoolExecutor
-                    pool = stack.enter_context(pool_class(max_workers=workers))
-                if pool is None:
-                    computed = map(_type_worker, misses)
-                else:
-                    computed = pool.map(_type_worker, misses, chunksize=_MAP_CHUNK)
-                _TYPES.update(zip(misses, computed))
-                for q in batch:
-                    yield q, [_TYPES[f, q]]
+            for q in examined:
+                yield q, [frobenius_type(f, q)]
+    else:
+        def rows(examined):
+            for batch in iter(lambda: list(islice(examined, _POOL_CHUNK)), []):
+                types = pool.map(_type_worker, [(f, q) for q in batch], chunksize=_MAP_CHUNK)
+                for q, t in zip(batch, types):
+                    yield q, [t]
 
-        yield from _good_rows(budget, rows, bad)
+    yield from _good_rows(budget, rows, bad)
 
 
 @dataclass
@@ -198,13 +181,21 @@ def scan(f: PolyQ, prime_budget: int = DEFAULT_SCAN_BUDGET, *,
          jobs: int = 1, poly_id: str | None = None) -> EvidenceProfile:
     """Profile f over the first `prime_budget` good primes.
 
-    Raises when fewer than min(5, budget) good primes exist within
-    10x the budget.
+    At jobs > 1 the types come from one worker pool, started here and shut
+    down before the scan returns.  A batch has at most
+    _POOL_CHUNK / _MAP_CHUNK tasks, so the pool has no more workers than
+    that, whatever `jobs` asks.  Raises when fewer than min(5, budget)
+    good primes exist within 10x the budget.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if poly_id is None:
         poly_id = f"deg{f.degree}-{abs(hash(f)) % 10**8:08d}"
     bad: list[int] = []
-    types_by_prime = {p: t for p, (t,) in _frobenius_stream(f, jobs, prime_budget, bad)}
+    # the pool class is read through the module, so the lazy name above resolves
+    with (nullcontext() if jobs == 1 else sys.modules[__name__].ProcessPoolExecutor(
+            max_workers=min(jobs, _POOL_CHUNK // _MAP_CHUNK))) as pool:
+        types_by_prime = {p: t for p, (t,) in _frobenius_stream(f, prime_budget, bad, pool)}
     if len(types_by_prime) < min(5, prime_budget):
         raise ValueError(f"only {len(types_by_prime)} good primes within "
                          f"{_SEARCH_FACTOR}x budget")
@@ -332,7 +323,7 @@ def certify_symmetric(f: PolyQ, prime_budget: int = DEFAULT_CERTIFY_BUDGET
         return None
     transitive = primitive = jordan = None
     jordan_q = None
-    for p, (t,) in _frobenius_stream(f, 1, prime_budget):
+    for p, (t,) in _frobenius_stream(f, prime_budget):
         if transitive is None and t.parts == (n,):
             transitive = p
         if primitive is None and t.parts == (n - 1, 1):

@@ -54,8 +54,8 @@ class PolyQ:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-        # the dataclass hash, computed once: polynomials key the Frobenius
-        # and discriminant caches, and rehashing 25 Fractions per lookup is
+        # the dataclass hash, computed once: polynomials key the
+        # discriminant cache, and rehashing 25 Fractions per lookup is
         # costly.  Fraction and tuple hashes are not randomized, so the value
         # survives pickling.
         object.__setattr__(self, "_hash", hash((self.coeffs,)))

@@ -207,14 +207,11 @@ def test_frobenius_help_is_unchanged(capsys, monkeypatch):
     assert capsys.readouterr().out == _FROBENIUS_HELP
 
 
-def test_verify_rubik_report_deterministic(tmp_path, capsys, monkeypatch):
+def test_verify_rubik_report_deterministic(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     c = tmp_path / "c.json"
     for path, jobs in ((a, "1"), (b, "1"), (c, "2")):
-        if jobs == "2":
-            # start cold, so the worker pool computes every type
-            monkeypatch.setattr(evidence, "_TYPES", {})
         code, _ = run_cli(capsys, "verify", "--theorem", "rubik",
                           "--primes", "25", "--jobs", jobs,
                           "--report", "json", "--out", str(path))

@@ -128,6 +128,21 @@ def test_r4_restricted_r2_text():
     assert parse_cycles(m4.source_text["r2"], 96) == m4.generators["r2"]
 
 
+def test_r4_generators_are_the_r5_moves_on_labels_up_to_96():
+    # the R4 moves are parsed from filtered text; pointwise they must be the
+    # R5 moves, which keep the labels 1..96 invariant
+    m4, m5 = cube_model(4), cube_model(5)
+    assert m4.generators.keys() == m5.generators.keys()
+    for name, g in m4.generators.items():
+        assert [g(s) for s in range(1, 97)] == [m5.generators[name](s) for s in range(1, 97)]
+
+
+def test_r4_filter_rejects_a_cycle_across_the_label_limit():
+    assert cubes._filter_cycles_text("(1 2)(97 98)(3 96)", 96) == "(1 2)(3 96)"
+    with pytest.raises(ValueError, match="not invariant"):
+        cubes._filter_cycles_text("(1 2)(96 97)", 96)
+
+
 def test_r5_source_text_is_verbatim():
     m5 = cube_model(5)
     assert m5.source_text == GENERATOR_TABLES

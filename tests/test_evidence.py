@@ -209,7 +209,7 @@ def test_triple_parity_linkage_detects_mismatch():
     assert not report.ok
 
 
-def test_linkages_factor_nothing_at_odd_primes(cold_cache, monkeypatch):
+def test_linkages_factor_nothing_at_odd_primes(monkeypatch):
     # a linkage reads each sign from disc f mod p by Euler's criterion; only
     # p = 2, where no Legendre symbol applies, needs the factor degrees
     from cubegal import polymod
@@ -222,7 +222,7 @@ def test_linkages_factor_nothing_at_odd_primes(cold_cache, monkeypatch):
     monkeypatch.setattr(polymod, "_ddf", only_at_two)
     assert parity_linkage(rubik_f(), rubik_g_resolvent(), 120).ok
     assert triple_parity_linkage(revenge_h(), professor_h2(), professor_h3(), 60).primes_checked == 60
-    assert set(factored) <= {2} and not cold_cache
+    assert set(factored) <= {2}
 
 
 def test_linkage_requires_separable():
@@ -232,14 +232,6 @@ def test_linkage_requires_separable():
 
 
 # -- the shared prime stream ---------------------------------------------------
-
-
-@pytest.fixture
-def cold_cache(monkeypatch):
-    """A fresh, empty Frobenius-type cache for the test's duration."""
-    from cubegal import evidence
-    monkeypatch.setattr(evidence, "_TYPES", {})
-    return evidence._TYPES
 
 
 def _evidence_of_all_four(jobs):
@@ -254,16 +246,11 @@ def _evidence_of_all_four(jobs):
     )
 
 
-def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
+@pytest.fixture
+def pools(monkeypatch):
+    """(started, stopped): the worker pools the evidence layer starts and
+    shuts down during the test, in order."""
     from cubegal import evidence
-    serial = _evidence_of_all_four(1)
-    profile, cert, pair, triple = serial
-    assert 3 in profile.bad_primes and len(profile.types_by_prime) == 150
-    assert cert is not None  # found well inside the budget: an early exit
-    assert pair.violations and triple.violations
-    assert all(len(v) == 3 for v in pair.violations)
-    assert all(len(v) == 4 for v in triple.violations)
-
     started, stopped = [], []
 
     class Pool(evidence.ProcessPoolExecutor):
@@ -276,20 +263,32 @@ def test_stream_jobs_1_and_2_agree(cold_cache, monkeypatch):
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(evidence, "ProcessPoolExecutor", Pool)
-    cold_cache.clear()
+    return started, stopped
+
+
+def test_stream_jobs_1_and_2_agree(pools):
+    serial = _evidence_of_all_four(1)
+    profile, cert, pair, triple = serial
+    assert 3 in profile.bad_primes and len(profile.types_by_prime) == 150
+    assert cert is not None  # found well inside the budget: an early exit
+    assert pair.violations and triple.violations
+    assert all(len(v) == 3 for v in pair.violations)
+    assert all(len(v) == 4 for v in triple.violations)
+
+    started, stopped = pools
+    assert not started
     parallel = _evidence_of_all_four(2)
     assert parallel == serial
     # only the scan starts a pool, shut down before it returns; the
-    # certificate computes its misses in process, and the linkages read signs
+    # certificate computes its types in process, and the linkages read signs
     assert len(started) == 1
     assert stopped == started
-    cold_cache.clear()
     cubic, other = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1]), PolyQ.from_coeffs([-1, -1, 0, 1])
     assert parity_linkage(cubic, other, 150) == pair
-    assert len(started) == 1 and not cold_cache
+    assert len(started) == 1
 
 
-def test_pool_has_no_more_workers_than_a_batch_has_tasks(cold_cache, monkeypatch):
+def test_pool_has_no_more_workers_than_a_batch_has_tasks(monkeypatch):
     from cubegal import evidence
     sizes = []
 
@@ -311,33 +310,20 @@ def test_pool_has_no_more_workers_than_a_batch_has_tasks(cold_cache, monkeypatch
     monkeypatch.setattr(evidence, "ProcessPoolExecutor", Pool)
     cubic = PolyQ.from_coeffs([Fraction(1, 3), 0, 0, 1])
     for jobs in (10 ** 6, 2):
-        cold_cache.clear()
         scan(cubic, 10, jobs=jobs)
     # a 64-prime batch of one polynomial is 8 map tasks of 8 keys
     assert sizes == [8, 2]
 
 
-def test_repeated_scan_is_served_from_cache(cold_cache, monkeypatch):
-    from cubegal import evidence
+def test_each_scan_starts_and_stops_its_own_pool(pools):
+    # no type outlives a call, so a repeated scan computes every type again,
+    # through a pool of its own, and gets the same profile
+    started, stopped = pools
     f = trinomial_poly(1)
-    first = scan(f, 40)
-    calls = []
-    monkeypatch.setattr(evidence, "frobenius_type", lambda *key: calls.append(key))
-    assert scan(f, 40) == first
-    assert calls == []
-
-
-def test_fully_cached_call_starts_no_pool(cold_cache, monkeypatch):
-    from cubegal import evidence
-    f = trinomial_poly(1)
-    warm = scan(f, 128)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a fully cached call must not compute or start a pool")
-    monkeypatch.setattr(evidence, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(evidence, "frobenius_type", refuse)
-    profile = scan(f, 60, jobs=2)
-    assert profile.types_by_prime == dict(list(warm.types_by_prime.items())[:60])
+    first = scan(f, 40, jobs=2)
+    assert len(started) == 1 and stopped == started
+    assert scan(f, 40, jobs=2) == first == scan(f, 40)
+    assert len(started) == 2 and stopped == started
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
@@ -439,9 +425,8 @@ def _evidence_at_the_edges(jobs):
     return out
 
 
-def test_stop_rule_same_at_jobs_1_and_2(cold_cache):
+def test_stop_rule_same_at_jobs_1_and_2():
     serial = _evidence_at_the_edges(1)
     assert serial[-1] == "only 0 good primes within 10x budget"
     assert serial[3] is None and serial[4].primes_checked == 0
-    cold_cache.clear()
     assert _evidence_at_the_edges(2) == serial

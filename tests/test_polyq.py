@@ -60,7 +60,7 @@ def test_degree_and_normalization():
 
 
 def test_hash_is_stable_across_construction_and_pickling():
-    # polynomials key the Frobenius cache, and pool workers receive pickled ones
+    # polynomials key the discriminant cache, and pool workers receive pickled ones
     f = rubik_f()
     built = [
         PolyQ.from_coeffs([str(c) for c in f.coeffs] + [0, 0]),

@@ -103,7 +103,7 @@ verify = ["verify", "--theorem", "rubik", "--out", os.devnull]
 steps = [cli_main([*verify, "--primes", "5", "--jobs", "1"])]
 steps.append(sorted(set(heavy) & set(sys.modules)))
 steps += [cli_main(["order", "--cube", "3", "--out", os.devnull]), "hashlib" in sys.modules]
-# ten primes: five past the cached ones, so the scans miss and start pools
+# at --jobs 2 every scan starts a pool, so the pool stack loads
 steps.append(cli_main([*verify, "--primes", "10", "--jobs", "2"]))
 steps.append(sorted(set(heavy) & set(sys.modules)))
 print(json.dumps(steps))
@@ -121,7 +121,7 @@ def test_openssl_and_the_pool_stack_load_only_where_they_are_used():
 
 
 # pools a --jobs 2 run starts (None: the count is absent): rubik scans f
-# and g and revenge scans the rubik pair, each with cache misses, while
+# and g and revenge scans the rubik pair, one pool per scan, while
 # professor runs no scan; certificates and parity linkages run in process
 _POOLS_AT_JOBS_2 = {"rubik": 2, "revenge": 2, "professor": None}
 
