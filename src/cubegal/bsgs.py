@@ -7,9 +7,9 @@ down the levels and sifts every Schreier generator of level i through
 the levels below it, adjoining each nontrivial residue to the levels
 from 0 to the one it stuck at.  So level i's generators fix the base
 points before b_i, and the generator sets are nested: each level's set
-holds every deeper level's.  A Schreier generator that sifted to the
-identity in one sweep is not sifted again in the next: its transversal
-elements never change and levels are only appended, so it still would.
+holds every deeper level's.  A sweep keeps no record of what it sifted:
+the cube groups' bounded builds end inside their first sweep, and a
+build that sweeps again sifts every Schreier generator afresh.
 
 Every transversal element is a product of sift residues of group
 elements, and the products u_1 u_2 ... u_k of one transversal element
@@ -53,18 +53,15 @@ from .perm import IDENT256, Permutation
 
 class _Level:
     """One level of the chain: base point, generator tables, transversal
-    data and inverse transversal tables; `ident` is the identity data.
-    `sifted` holds the (orbit point, generator index) pairs whose Schreier
-    generator has sifted to the identity through the levels below."""
+    data and inverse transversal tables; `ident` is the identity data."""
 
-    __slots__ = ("point", "gens", "trans", "invtrans", "sifted")
+    __slots__ = ("point", "gens", "trans", "invtrans")
 
     def __init__(self, point: int, ident: bytes):
         self.point = point
         self.gens: list[bytes] = []
         self.trans: dict[int, bytes] = {point: ident}
         self.invtrans: dict[int, bytes] = {point: IDENT256}
-        self.sifted: set[tuple[int, int]] = set()
 
 
 class PermutationGroup:
@@ -201,45 +198,34 @@ class PermutationGroup:
 
     def _schreier_generators(self):
         """Each level's Schreier generators, top down, as (data, level
-        below, (sifted set, key)): u s u'^-1 for each orbit point beta
-        with transversal element u, and each of the level's generators s,
-        where u' is the transversal element of s(beta).  Those equal to
-        the identity by construction are skipped, and so are those whose
-        key (beta, index of s) an earlier sweep put in the level's sifted
-        set: a transversal element never changes once set, and levels are
-        only appended, so what sifted to the identity still does.  A
-        level's orbit points are read when its turn comes, and its
-        generators at each point, so what a residue adds to a level
-        already swept, and the points it adds to the level being swept,
-        wait for the next sweep."""
+        below): u s u'^-1 for each orbit point beta with transversal
+        element u, and each of the level's generators s, where u' is the
+        transversal element of s(beta).  Those equal to the identity by
+        construction are skipped.  A level's orbit points are read when
+        its turn comes, and its generators at each point, so what a
+        residue adds to a level already swept, and the points it adds to
+        the level being swept, wait for the next sweep."""
         levels = self._levels
         i = 0
         while i < len(levels):
             lvl = levels[i]
             i += 1
-            trans, invtrans, sifted = lvl.trans, lvl.invtrans, lvl.sifted
+            trans, invtrans = lvl.trans, lvl.invtrans
             for beta, u in list(trans.items()):
-                for k, s in enumerate(list(lvl.gens)):
-                    if (beta, k) in sifted:
-                        continue
+                for s in list(lvl.gens):
                     gamma = s[beta]
                     w = u.translate(s)
                     if w != trans[gamma]:
-                        yield w.translate(invtrans[gamma]), i, (sifted, (beta, k))
+                        yield w.translate(invtrans[gamma]), i
 
     def _adjoin(self, items, bound: int | None) -> bool:
-        """Sift each (data, start level, proof) item and adjoin every
-        nontrivial residue; returns whether the chain grew.  A proof, when
-        not None, is a (set, key) pair: the key goes into the set when the
-        data sifts to the identity.  Stops once the orbit product meets
-        the bound."""
+        """Sift each (data, start level) item and adjoin every nontrivial
+        residue; returns whether the chain grew.  Stops once the orbit
+        product meets the bound."""
         grew = False
-        for g, start, proof in items:
+        for g, start in items:
             residue, stick = self._sift(g, start)
-            if residue == self._ident:
-                if proof is not None:
-                    proof[0].add(proof[1])
-            else:
+            if residue != self._ident:
                 self._add_strong(residue, stick)
                 grew = True
                 if self._reached(bound):
@@ -255,6 +241,6 @@ class PermutationGroup:
         """Sift the inputs, then sweep every level's Schreier generators
         through the levels below it until a sweep adds nothing or the
         orbit product meets the bound."""
-        grew = self._adjoin(((g.raw, 0, None) for g in self.generators), bound)
+        grew = self._adjoin(((g.raw, 0) for g in self.generators), bound)
         while grew and not self._reached(bound):
             grew = self._adjoin(self._schreier_generators(), bound)

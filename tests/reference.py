@@ -12,8 +12,8 @@ from math import factorial
 
 from cubegal.bsgs import PermutationGroup
 from cubegal.cubes import _TWISTED, StickerModel, cube_model, piece_coordinates
-from cubegal.perm import IDENT256, Permutation
-from cubegal.polymod import _mod_p, is_prime
+from cubegal.perm import IDENT256, CycleType, Permutation
+from cubegal.polymod import is_prime
 from cubegal.polyq import PolyQ, exact_str
 
 
@@ -456,10 +456,17 @@ def sign_image(model: StickerModel) -> set[tuple[int, ...]]:
     return span
 
 
+def fraction_mod_p(c: Fraction, p: int) -> int | None:
+    """The residue of c mod p; None when p divides its denominator."""
+    if c.denominator % p == 0:
+        return None
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
 def reference_reduction(f: PolyQ, p: int) -> tuple[int, ...] | None:
     """The residues of f's coefficients mod p, each Fraction reduced on its
     own; None when p divides a denominator or the leading numerator."""
-    out = [_mod_p(c, p) for c in f.coeffs]
+    out = [fraction_mod_p(c, p) for c in f.coeffs]
     return None if None in out or out[-1] == 0 else tuple(out)
 
 
@@ -467,10 +474,157 @@ def legendre(a: Fraction | int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p and a with p-unit value."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    val = _mod_p(Fraction(a), p)
+    val = fraction_mod_p(Fraction(a), p)
     if not val:
         raise ValueError("argument is not a p-adic unit")
     return 1 if pow(val, (p - 1) // 2, p) == 1 else -1
+
+
+# -- polynomials over F_p: coefficient lists, lowest degree first -----------
+# Schoolbook arithmetic of its own, so that a fault in `polymod`'s helpers
+# cannot break an oracle and the code it checks alike.
+
+
+def trim(a) -> list[int]:
+    """a as a new list, without its zero top coefficients."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def schoolbook_mul(a, b, p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return trim(c % p for c in out)
+
+
+def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q * b + r and deg r < deg b, by long division; b is
+    nonzero mod p."""
+    b = trim(c % p for c in b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = trim(c % p for c in a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        c = r[k + len(b) - 1] * inv % p
+        q[k] = c
+        for i, bi in enumerate(b):
+            r[k + i] = (r[k + i] - c * bi) % p
+    return trim(q), trim(r[:len(b) - 1])
+
+
+def poly_rem(a, b, p: int) -> list[int]:
+    return poly_divmod(a, b, p)[1]
+
+
+def poly_divexact(a, b, p: int) -> list[int]:
+    q, r = poly_divmod(a, b, p)
+    if r:
+        raise ArithmeticError("division was not exact")
+    return q
+
+
+def poly_gcd(a, b, p: int) -> list[int]:
+    """The monic gcd of a and b, by Euclid ([] when both are 0)."""
+    a, b = trim(c % p for c in a), trim(c % p for c in b)
+    while b:
+        a, b = b, poly_rem(a, b, p)
+    return monic(a, p) if a else a
+
+
+def monic(a, p: int) -> list[int]:
+    """a, trimmed and nonzero mod p, divided by its leading coefficient."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def poly_deriv(a, p: int) -> list[int]:
+    return trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def reference_powmod(base, e: int, mod, p: int) -> list[int]:
+    """base^e mod `mod` by right-to-left square-and-multiply."""
+    result = poly_rem([1], mod, p)
+    acc = poly_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = poly_rem(schoolbook_mul(result, acc, p), mod, p)
+        e >>= 1
+        if e:
+            acc = poly_rem(schoolbook_mul(acc, acc, p), mod, p)
+    return result
+
+
+def schoolbook_row(f, k: int, p: int) -> list[int]:
+    """X^(n+k) mod f by long division, padded to n coefficients."""
+    n = len(f) - 1
+    row = poly_rem([0] * (n + k) + [1], f, p)
+    return row + [0] * (n - len(row))
+
+
+def reference_ddf(coeffs, p: int) -> CycleType | None:
+    """The irreducible-factor degrees of f = sum coeffs[i] X^i over F_p,
+    by distinct-degree factorization with the Berlekamp matrix; None when
+    f is not squarefree.
+
+    X^p mod f is computed once, then the rows Q[i] = X^(ip) mod f, i < n.
+    Over F_p, w(X)^p = sum w_i X^(ip), so each further Frobenius step
+    w = X^(p^(d-1)) -> X^(p^d) is one vector-matrix product w Q.  The
+    factors of degree d of f*, the cofactor left once the factors of
+    degree < d are removed, are those of gcd(X^(p^d) - X mod f*, f*);
+    once 2d exceeds deg f*, f* is irreducible (or 1).
+    """
+    f = trim(c % p for c in coeffs)
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("f must have degree at least 1 mod p")
+    f = monic(f, p)
+    if len(poly_gcd(f, poly_deriv(f, p), p)) != 1:
+        return None
+    xp = reference_powmod([0, 1], p, f, p)
+    rows = [[1]]
+    while len(rows) < n:
+        rows.append(poly_rem(schoolbook_mul(rows[-1], xp, p), f, p))
+    parts: list[int] = []
+    fstar, w, d = f, xp, 1
+    while 2 * d <= len(fstar) - 1:
+        if d > 1:
+            acc = [0] * n
+            for wi, row in zip(w, rows):
+                for j, c in enumerate(row):
+                    acc[j] += wi * c
+            w = trim(c % p for c in acc)
+        delta = poly_rem(w, fstar, p) + [0, 0]
+        delta[1] -= 1
+        g = poly_gcd(delta, fstar, p)
+        if len(g) > 1:
+            parts.extend([d] * ((len(g) - 1) // d))
+            fstar = poly_divexact(fstar, g, p)
+        d += 1
+    if len(fstar) > 1:
+        parts.append(len(fstar) - 1)
+    return CycleType(tuple(parts))
+
+
+def oracle_factor_degrees(coeffs, p: int) -> tuple[int, ...]:
+    """The irreducible-factor degrees of monic f over F_p, largest first,
+    by exhaustive trial division by monic polynomials in graded order."""
+    f = trim(coeffs)
+    out = []
+    while len(f) > 1:
+        divisor = next((list(tail) + [1] for d in range(1, (len(f) - 1) // 2 + 1)
+                        for tail in product(range(p), repeat=d)
+                        if not poly_rem(f, list(tail) + [1], p)), f)
+        out.append(len(divisor) - 1)
+        f = poly_divexact(f, divisor, p)
+    return tuple(sorted(out, reverse=True))
 
 
 def poly_to_json(f: PolyQ) -> dict:

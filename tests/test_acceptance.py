@@ -254,7 +254,7 @@ def test_criterion_9_oracle_equivalences():
             wreath_ok = False
 
     from cubegal.polymod import PolyFp, ddf_cycle_type
-    from test_polymod import oracle_factor_degrees
+    from reference import oracle_factor_degrees
     checked = 0
     ddf_ok = True
     while checked < 100:

@@ -320,25 +320,37 @@ def test_two_builds_from_the_same_generators_give_the_same_chain():
             == [list(lvl.trans.items()) for lvl in b._levels])
 
 
-def test_later_sweeps_skip_schreier_generators_already_sifted_to_the_identity(monkeypatch):
-    # An unbounded R3 build takes two sweeps.  The second re-sifts only the
-    # (orbit point, generator) pairs that left a residue, or are new: 3,949
-    # sifts in all, inputs and the membership check of the inputs included,
-    # where sifting every Schreier generator again took 7,767.  The chain
-    # is the same either way.
+def test_an_unbounded_r3_build_gives_the_order_and_chain_of_the_bounded_one():
+    # With no bound the build sweeps until a sweep adds nothing; it still
+    # ends at the order the structural bound proves, with the same chain
     from cubegal.cubes import cube_model
     from cubegal.structure import R3_ORDER
-    sift = PermutationGroup._sift
-    calls = []
-
-    def counted(self, *args):
-        calls.append(args)
-        return sift(self, *args)
-    monkeypatch.setattr(PermutationGroup, "_sift", counted)
-    g = PermutationGroup(list(cube_model(3).generators.values()))
-    assert len(calls) == 3949
+    model = cube_model(3)
+    g = PermutationGroup(list(model.generators.values()))
     assert g.order() == R3_ORDER
     assert (len(g.base), len(g.strong_generators), sum(g.basic_orbit_sizes)) == (18, 28, 257)
+    bounded = model.group()
+    assert (g.base, g.strong_generators) == (bounded.base, bounded.strong_generators)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bounded_cube_builds_end_in_their_first_sweep(n, monkeypatch):
+    # the orbit product meets `cubes.order_bound` while the first sweep's
+    # Schreier generators are sifted, so no sweep ever follows one: a
+    # record of what a sweep sifted to the identity would never be read
+    from cubegal.cubes import cube_model, order_bound
+    from cubegal.structure import R3_ORDER, R4_ORDER, R5_ORDER
+    sweep = PermutationGroup._schreier_generators
+    sweeps = []
+
+    def counted(self):
+        sweeps.append(self)
+        return sweep(self)
+    monkeypatch.setattr(PermutationGroup, "_schreier_generators", counted)
+    model = cube_model(n)
+    g = PermutationGroup(list(model.generators.values()), bound=order_bound(model))
+    assert len(sweeps) == 1
+    assert g.order() == {3: R3_ORDER, 4: R4_ORDER, 5: R5_ORDER}[n]
 
 
 def test_normal_closure_of_even_part():

@@ -7,12 +7,12 @@ import pytest
 
 from cubegal import polymod, theorems
 from cubegal.perm import CycleType
-from cubegal.polymod import (PolyFp, _deriv, _divexact, _gcd, _rem, _Residues,
-                             _settle, _trim, ddf_cycle_type, frobenius_sign, frobenius_type,
-                             is_prime, powmod, primes, reduce_mod_p)
+from cubegal.polymod import (PolyFp, _Residues, _settle, ddf_cycle_type, frobenius_sign,
+                             frobenius_type, is_prime, powmod, primes, reduce_mod_p)
 from cubegal.polyq import PolyQ, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
-from reference import legendre, reference_reduction
+from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, reference_ddf,
+                       reference_reduction, schoolbook_mul, schoolbook_row)
 
 # the named polynomials of the theorem suites, h1 both as derived and as stated
 NAMED_POLYNOMIALS = {
@@ -29,78 +29,6 @@ NAMED_POLYNOMIALS = {
 SHANKS_CUBIC = PolyQ.from_coeffs([1, -3, 0, 1])
 # disc 0: (X^3 - 3X + 1)^2 is bad at every prime
 NON_SEPARABLE = {"shanks_cubic_squared": lambda: SHANKS_CUBIC * SHANKS_CUBIC}
-
-
-def oracle_factor_degrees(coeffs, p):
-    """Exhaustive trial division by monic polynomials in graded order."""
-    f = list(coeffs)
-    out = []
-    while len(f) - 1 > 0:
-        found = False
-        deg_f = len(f) - 1
-        for d in range(1, deg_f // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                g = list(tail) + [1]
-                if not _trim(_rem(f, g, p)):
-                    f = _divexact(f, g, p)
-                    out.append(d)
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            out.append(deg_f)
-            break
-    return tuple(sorted(out, reverse=True))
-
-
-def schoolbook_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _trim([c % p for c in out])
-
-
-def reference_powmod(base, e, mod, p):
-    """base^e mod `mod` by right-to-left square-and-multiply on lists."""
-    result = _rem([1], mod, p)
-    acc = _rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _rem(schoolbook_mul(result, acc, p), mod, p)
-        e >>= 1
-        if e:
-            acc = _rem(schoolbook_mul(acc, acc, p), mod, p)
-    return result
-
-
-def reference_ddf(f):
-    """Distinct-degree factorization with a fresh schoolbook powmod
-    w <- w^p mod f* at every degree d, f* the cofactor left so far."""
-    p = f.p
-    fstar = list(f.monic().coeffs)
-    if len(_gcd(fstar, _deriv(fstar, p), p)) != 1:
-        return None
-    parts = []
-    w = _rem([0, 1], fstar, p)
-    d = 0
-    while len(fstar) > 1:
-        d += 1
-        if 2 * d > len(fstar) - 1:
-            parts.append(len(fstar) - 1)
-            break
-        w = reference_powmod(w, p, fstar, p)
-        delta = w + [0] * max(0, 2 - len(w))
-        delta[1] = (delta[1] - 1) % p
-        g = _gcd(_trim(delta), fstar, p)
-        if len(g) > 1:
-            parts.extend([d] * ((len(g) - 1) // d))
-            fstar = _divexact(fstar, g, p)
-            w = _rem(w, fstar, p)
-    return CycleType(tuple(parts))
 
 
 def test_is_prime():
@@ -317,7 +245,7 @@ def test_ddf_matches_reference_on_named_polynomials(name):
         assert frobenius_type(f, p) == expected, (name, p)
         if reduced is None:
             continue
-        assert expected == reference_ddf(reduced), (name, p)
+        assert expected == reference_ddf(reduced.coeffs, p), (name, p)
         good += expected is not None
     if name in NON_SEPARABLE:
         assert discriminant(f) == 0 and good == 0
@@ -379,8 +307,7 @@ def test_reductions_agree_with_the_fraction_oracle():
             assert (None if got is None else got.coeffs) == residues, (f, p)
             good = residues is not None
             if good:
-                monic = list(PolyFp(p, residues).monic().coeffs)
-                good = len(_gcd(monic, _deriv(monic, p), p)) == 1
+                good = len(poly_gcd(residues, poly_deriv(residues, p), p)) == 1
             assert (frobenius_type(f, p) is not None) is good, (f, p)
             assert (frobenius_sign(f, p) is not None) is good, (f, p)
 
@@ -493,13 +420,6 @@ def test_settle_rule_against_enumeration():
             for k in range(25):
                 found = multisets(k, lo, hi)
                 assert _settle(k, lo, hi) == (found[0] if len(found) == 1 else None), (k, lo, hi)
-
-
-def schoolbook_row(f, k, p):
-    """X^(n+k) mod f by long division."""
-    n = len(f) - 1
-    row = _rem([0] * (n + k) + [1], f, p)
-    return row + [0] * (n - len(row))
 
 
 @pytest.mark.parametrize("name", ["revenge_h", "rubik_g", "rubik_f"])

@@ -9,10 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from cubegal.polymod import (PolyFp, _divexact, _divmod, _Residues, _rem, _trim,
-                             ddf_cycle_type, powmod)
-from reference import legendre
-from test_polymod import reference_ddf, reference_powmod, schoolbook_mul, schoolbook_row
+from cubegal.polymod import PolyFp, _divexact, _divmod, _Residues, ddf_cycle_type, powmod
+from reference import (legendre, poly_rem, reference_ddf, reference_powmod, schoolbook_mul,
+                       schoolbook_row, trim)
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
 # tiny, small, benchmark-sized and word-sized primes; 2^31 - 1 needs
@@ -37,7 +36,7 @@ def dividend_and_divisor(draw, min_degree=0):
     degree at least min_degree."""
     p = draw(st.sampled_from([2, 3, 7, 4409, 2 ** 31 - 1]))
     residues = st.integers(0, p - 1)
-    a = _trim(draw(st.lists(residues, max_size=30)))
+    a = trim(draw(st.lists(residues, max_size=30)))
     b = draw(st.lists(residues, min_size=min_degree, max_size=12)) + [draw(st.integers(1, p - 1))]
     return p, a, b
 
@@ -52,7 +51,7 @@ def test_packed_product_matches_schoolbook(case):
     p, f, (a, b) = case
     f = monic(f, p)
     product = _Residues(f, p).mulmod(a, b)
-    assert _trim(product) == _rem(schoolbook_mul(_trim(a), _trim(b), p), f, p)
+    assert trim(product) == poly_rem(schoolbook_mul(trim(a), trim(b), p), f, p)
 
 
 @DETERMINISTIC
@@ -61,7 +60,7 @@ def test_powmod_adds_exponents(case, e1, e2):
     p, f, (a,) = case
     fp, ap = PolyFp(p, tuple(f)), PolyFp(p, tuple(a))
     product = schoolbook_mul(list(powmod(ap, e1, fp).coeffs), list(powmod(ap, e2, fp).coeffs), p)
-    assert list(powmod(ap, e1 + e2, fp).coeffs) == _rem(product, f, p)
+    assert list(powmod(ap, e1 + e2, fp).coeffs) == poly_rem(product, f, p)
 
 
 @DETERMINISTIC
@@ -70,7 +69,7 @@ def test_powmod_with_any_modulus_matches_schoolbook(case, e):
     # the modulus keeps its drawn leading coefficient, usually not 1
     p, f, (a,) = case
     got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
-    assert list(got.coeffs) == reference_powmod(_trim(list(a)), e, f, p)
+    assert list(got.coeffs) == reference_powmod(trim(list(a)), e, f, p)
 
 
 @DETERMINISTIC
@@ -115,8 +114,8 @@ def test_frobenius_step_is_the_p_th_power(case):
 def test_degree_one_and_two_moduli(case, e):
     p, f, (a,) = case
     got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
-    assert list(got.coeffs) == reference_powmod(_trim(list(a)), e, f, p)
-    assert ddf_cycle_type(PolyFp(p, tuple(f))) == reference_ddf(PolyFp(p, tuple(f)))
+    assert list(got.coeffs) == reference_powmod(trim(list(a)), e, f, p)
+    assert ddf_cycle_type(PolyFp(p, tuple(f))) == reference_ddf(f, p)
 
 
 @DETERMINISTIC
@@ -126,7 +125,7 @@ def test_divmod_is_long_division(case):
     q, r = _divmod(a, b, p)
     assert len(r) < len(b)
     qb = schoolbook_mul(q, b, p)
-    assert _trim([(x + y) % p for x, y in zip_longest(qb, r, fillvalue=0)]) == a
+    assert trim([(x + y) % p for x, y in zip_longest(qb, r, fillvalue=0)]) == a
 
 
 @DETERMINISTIC
