@@ -53,7 +53,7 @@ from itertools import islice, product
 from math import prod
 
 from .perm import CycleType
-from .polymod import frobenius_sign, frobenius_type, is_prime, primes
+from .polymod import _sign, frobenius_type, is_prime, primes
 from .polyq import PolyQ, discriminant
 from .sqclass import is_square
 
@@ -359,16 +359,18 @@ def _linkage(polys, prime_budget: int) -> LinkageReport:
     good for all of them, under the stop rule of `_good_rows`;
     violations are (p, *signs).
 
-    Each sign is `frobenius_sign`, the Legendre symbol of disc f at odd
-    p, which costs less than handing its key to a worker; so a linkage
-    computes no type past p = 2 and runs in process.
+    Each sign is that of `polymod.frobenius_sign`, the Legendre symbol
+    of disc f at odd p, which costs less than handing its key to a
+    worker; so a linkage computes no type past p = 2 and runs in process.
+    Its primes come from `primes()`, so it reads them through the sign
+    helper that tests no primality.
     """
     if any(discriminant(poly) == 0 for poly in polys):
         raise ValueError("inputs must be separable")
 
     def rows(examined):
         for q in examined:
-            yield q, [frobenius_sign(f, q) for f in polys]
+            yield q, [_sign(f, q) for f in polys]
 
     checked = list(_good_rows(prime_budget, rows))
     violations = [(p, *signs) for p, signs in checked if signs[0] != prod(signs[1:])]

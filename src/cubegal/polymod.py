@@ -24,6 +24,19 @@ which reduces mod p once per division.  A batch of degrees shares one
 gcd, and refining it stops, with no further gcd, as soon as the degree
 of what is left admits only one multiset of factor degrees.
 
+Two block structures let DDF run on a smaller base polynomial
+(`notes/decisions.md`, "Frobenius types through block quotients"):
+f = q(X^2) with f(0) != 0, and f = B^m P(A/B) with Shanks' simplest-cubic
+map A/B = (X^3 - 3X + 1)/(X^2 - X).  `_cover` finds them once per
+polynomial and proves them exactly.  At p = 1 mod k (k = 2 or 3 roots in
+a block) the roots over a root b of the base are, up to a Moebius map
+over F_p, the k-th roots of a Kummer element E(b), so each factor of
+degree d of the base gives k factors of degree d of f or one of degree
+kd, as E(b) is a k-th power in F_(p^d) or not.  A lone factor decides
+that by the Kummer character of its norm, with no gcd; only several
+factors of one degree need E^((p^d - 1)/k) mod the base.  Other primes,
+and other polynomials, take the plain DDF of f.
+
 `frobenius_type` reads a rational polynomial at a prime through its
 integer form, `num` over `den`, and builds no `PolyFp`: the monic
 residues are num_k / num_n mod p, and squarefreeness comes from disc f
@@ -35,6 +48,8 @@ ArithmeticError, so a kernel fault cannot pass as evidence.
 `frobenius_sign` at odd p is that symbol, by Euler's criterion, with no
 DDF.  `_stickelberger` holds the goodness rule and the expected sign
 for both.  `ddf_cycle_type`, on a polynomial over F_p, keeps the gcd.
+The public functions test p for primality; `_type` and `_sign` behind
+them do not, for callers that draw p from `primes()`.
 
 The prime stream is deterministic (consecutive primes from 2 upward), so
 scans reproduce exactly without a seed.
@@ -50,7 +65,7 @@ from itertools import count
 from operator import mul
 
 from .perm import CycleType
-from .polyq import PolyQ, discriminant
+from .polyq import SHANKS_A, SHANKS_B, PolyQ, compose, discriminant
 
 # Deterministic Miller-Rabin: the first k prime bases decide every
 # n < _PSI[k - 1], where _PSI[k - 1] is the least strong pseudoprime to
@@ -194,6 +209,14 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
+
+
+def _evaluate(a: list[int], x: int, p: int) -> int:
+    """a(x) mod p, by Horner's rule."""
+    value = 0
+    for c in reversed(a):
+        value = (value * x + c) % p
+    return value
 
 
 def _deriv(a: list[int], p: int) -> list[int]:
@@ -343,11 +366,16 @@ def _mod_p(c: Fraction, p: int) -> int | None:
     return c.numerator % p * pow(c.denominator, -1, p) % p
 
 
+def _require_prime(p: int) -> None:
+    """The one primality test of the public entry points; the private
+    helpers behind them trust callers that draw p from `primes()`."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def _reducible(f: PolyQ, p: int) -> bool:
     """Whether f mod p keeps f's degree: p divides neither `den`, so no
     reduced denominator, nor the leading numerator."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if f.is_zero:
         raise ValueError("zero polynomial")
     return f.den % p != 0 and f.num[-1] % p != 0
@@ -366,6 +394,7 @@ def reduce_mod_p(f: PolyQ, p: int):
     denominator or the leading numerator, so degree would drop.
     Raises when p is not prime.
     """
+    _require_prime(p)
     if not _reducible(f, p):
         return None
     inv = pow(f.den, -1, p)
@@ -406,10 +435,11 @@ def _settle(k: int, lo: int, hi: int) -> tuple[int, ...] | None:
     return sums[k][0][::-1] if len(sums[k]) == 1 else None
 
 
-def _ddf(f: list[int], p: int) -> CycleType:
+def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] = ()) -> CycleType:
     """Irreducible-factor degrees of f, monic and squarefree of degree
     n >= 1 over F_p: the DDF body that ddf_cycle_type and frobenius_type
-    share.
+    share.  With k > 1 and `kummer`, the degrees of a C_k cover of f
+    instead (below); k = 1 is the plain DDF.
 
     Let f* be what is left of f once its factors of degree < d are
     removed; its factors of degree d are those of gcd(X^(p^d) - X, f*),
@@ -435,6 +465,22 @@ def _ddf(f: list[int], p: int) -> CycleType:
     Stickelberger's check could not tell them apart: the rule must see
     that the multiset is unique.
 
+    Covers (`notes/decisions.md`, "Frobenius types through block
+    quotients").  For k > 1, f is the base of a polynomial F whose roots
+    lie in blocks of k: those over a root b of f are, up to a Moebius
+    map defined over F_p, the k-th roots of E(b), with
+    E = prod (Y - a)^m over the pairs (a, m) of `kummer`, p = 1 mod k and
+    no E(b) zero.  A factor phi of f of degree d, b one of its roots,
+    gives F k factors of degree d when E(b) is a k-th power in F_(p^d)
+    ("untwisted"), and one factor of degree kd otherwise ("twisted").
+    E(b) is a k-th power iff v_d = E^((p^d - 1)/k) is 1 mod phi.  A lone
+    factor tests its norm instead, with no gcd: v_d mod phi is
+    N(E(b))^((p - 1)/k), and N(b - a) = (-1)^d phi(a).  Several factors
+    of one degree take gcd(v_d - 1, their product), the untwisted ones;
+    v_d is made only then, from v_1 = E^((p - 1)/k) mod f by
+    v_(d+1) = v_1 * v_d(X^p), with the same rows of Q.  So with k > 1 the
+    settle rule may end a batch only on at most one factor.
+
     f is squarefree, so its factors are distinct, and multiplicity in
     the returned type is the count of factors of that degree.
     """
@@ -442,6 +488,34 @@ def _ddf(f: list[int], p: int) -> CycleType:
     fstar = f
     parts: list[int] = []
     w = q = None
+    twists: list[list[int]] = []  # v_1, v_2, ... of a cover, made as needed
+
+    def lift(e: int, factors: list[int], count: int) -> None:
+        """Record the `count` factors of degree e whose product is `factors`."""
+        if k == 1:
+            parts.extend([e] * count)
+            return
+        if count == 1:
+            norm = 1
+            for a, m in kummer:
+                at_a = _evaluate(factors, a, p)
+                norm = norm * pow(-at_a if e & 1 else at_a, m, p) % p
+            untwisted = int(pow(norm, (p - 1) // k, p) == 1)
+        else:
+            if not twists:  # v_1 = E^((p - 1)/k); several factors, so n >= 2
+                n = len(f) - 1
+                element = [1] + [0] * (n - 1)
+                for a, m in kummer:
+                    for _ in range(m):
+                        element = residues.mulmod(element, [-a % p, 1] + [0] * (n - 2))
+                twists.append(residues.power(element, (p - 1) // k))
+            while len(twists) < e:
+                twists.append(residues.mulmod(twists[0], residues.apply(twists[-1], q)))
+            v = twists[e - 1].copy()
+            v[0] = (v[0] - 1) % p
+            untwisted = (len(_gcd(_trim(v), factors, p)) - 1) // e
+        parts.extend([e] * (k * untwisted) + [k * e] * (count - untwisted))
+
     d = 0
     while 2 * (d + 1) <= len(fstar) - 1:
         batch = []  # (d, w - X) for the next d, as long as 2d <= deg f*
@@ -463,18 +537,23 @@ def _ddf(f: list[int], p: int) -> CycleType:
         g = _gcd(_trim(product), fstar, p)
         for e, delta in batch:
             settled = _settle(len(g) - 1, e, d)
-            if settled is not None:  # the degrees of g's factors are known
-                parts.extend(settled)
+            if settled is not None and (k == 1 or len(settled) < 2):
+                # the degrees of g's factors are known; with a cover, g is
+                # one factor or 1
                 if settled:
+                    if k == 1:
+                        parts.extend(settled)
+                    else:
+                        lift(settled[0], g, 1)
                     fstar = _divexact(fstar, g, p)
                 break
             factors = _gcd(_trim(delta), g, p)
             if len(factors) > 1:
-                parts.extend([e] * ((len(factors) - 1) // e))
+                lift(e, factors, (len(factors) - 1) // e)
                 g = _divexact(g, factors, p)
                 fstar = _divexact(fstar, factors, p)
     if len(fstar) > 1:
-        parts.append(len(fstar) - 1)
+        lift(len(fstar) - 1, fstar, 1)
     return CycleType(tuple(parts))
 
 
@@ -526,37 +605,124 @@ def _stickelberger(f: PolyQ, p: int):
     return 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
 
 
-def frobenius_type(f: PolyQ, p: int):
-    """Cycle type of f mod p, or None when p is bad (undefined or
-    ramified reduction), as `_stickelberger` decides.
+@functools.lru_cache(maxsize=32)
+def _cover(f: PolyQ):
+    """(P, k) when f's roots fall into blocks of k over the roots of P by
+    an exact structure of f, else None; computed once per polynomial
+    among the last 32, in each process.
 
-    The degrees come from the DDF body `_ddf`, as in ddf_cycle_type.
-    Every type is then checked against Stickelberger's theorem: its
-    degrees sum to deg f, and at odd p its parity equals the Legendre
-    symbol (disc f / p).  A failed check is a kernel fault and raises
-    ArithmeticError.
+    Even case, k = 2: f = q(X^2) with f(0) != 0 has no odd coefficient,
+    and its roots come in pairs +-x over the roots of q.  Shanks case,
+    k = 3: f = B^m P(A/B), with A/B Shanks' map and deg f = 3m, has its
+    roots in orbits of x -> 1/(1 - x), three over each root of P.  B is 0
+    at 0 and 1, where A is 1 and -1, so f(0) = lc f and
+    f(1) = (-1)^m lc f, a cheap filter.  A^j B^(m - j) is monic of degree
+    2m + j, so the coefficients of X^(2m + j), j = m..0, give P's by a
+    triangular solve; compose(P, A, B) == f is then checked exactly.
     """
+    n, num = f.degree, f.num
+    if n >= 2 and n % 2 == 0 and num[0] and not any(num[1::2]):
+        return PolyQ(f.coeffs[::2]), 2
+    m = n // 3
+    if m and n % 3 == 0 and num[0] == num[-1] and sum(num) == (-1) ** m * num[-1]:
+        a_powers, b_powers = [PolyQ.one()], [PolyQ.one()]
+        for _ in range(m):
+            a_powers.append(a_powers[-1] * SHANKS_A)
+            b_powers.append(b_powers[-1] * SHANKS_B)
+        rest, base = f, [0] * (m + 1)
+        for j in reversed(range(m + 1)):
+            if len(rest.coeffs) > 2 * m + j:
+                base[j] = rest.coeffs[2 * m + j]
+                rest -= (a_powers[j] * b_powers[m - j]).scale(base[j])
+        base = PolyQ.from_coeffs(base)
+        if compose(base, SHANKS_A, SHANKS_B) == f:
+            return base, 3
+    return None
+
+
+def _block_type(f: PolyQ, p: int):
+    """The cycle type of f mod p read off its cover's base, by `_ddf`
+    with the twists; None where f has no cover or p fails a precondition:
+    p = 1 mod k, the base reducible at p, and no root of the base where
+    the Kummer element E vanishes.
+
+    The even case takes E = Y at every odd p.  The Shanks case takes
+    E = (Y - 3w)(Y - 3w')^2 at p = 1 mod 3, w and w' = 1 - w the roots of
+    X^2 - X + 1: w = -z for the first z = a^((p - 1)/3) other than 1,
+    a = 2, 3, ...  So p = 2, and p = 3 in the Shanks case, are left to
+    the plain DDF.
+    """
+    cover = _cover(f)
+    if cover is None:
+        return None
+    base, k = cover
+    if (p - 1) % k or not _reducible(base, p):
+        return None
+    if k == 2:
+        kummer = ((0, 1),)
+    else:
+        z = next(z for z in (pow(a, (p - 1) // 3, p) for a in count(2)) if z != 1)
+        kummer = ((-3 * z % p, 1), (3 * (1 + z) % p, 2))
+    base = _monic(base, p)
+    if any(_evaluate(base, a, p) == 0 for a, _ in kummer):
+        return None
+    return _ddf(base, p, k, kummer)
+
+
+def _type(f: PolyQ, p: int):
+    """`frobenius_type` for a p known to be prime."""
     sign = _stickelberger(f, p)
     if sign is None:
         return None
     n = f.degree
-    t = _ddf(_monic(f, p), p)
+    t = _block_type(f, p)
+    if t is None:
+        t = _ddf(_monic(f, p), p)
     if t.degree != n or (sign and t.parity != sign):
         raise ArithmeticError(f"degree-{n} polynomial at p={p}: Frobenius type {t} "
                               f"contradicts Stickelberger's theorem")
     return t
 
 
+def frobenius_type(f: PolyQ, p: int):
+    """Cycle type of f mod p, or None when p is bad (undefined or
+    ramified reduction), as `_stickelberger` decides; a composite p
+    raises ValueError.
+
+    The degrees come from the DDF body `_ddf`: on f itself, as in
+    ddf_cycle_type, or, where `_cover` finds f = q(X^2) or
+    f = B^m P(A/B), on the base with one twist test per factor
+    (`_block_type`).  Every type is then checked against Stickelberger's
+    theorem: its degrees sum to deg f, and at odd p its parity equals the
+    Legendre symbol (disc f / p).  A failed check is a kernel fault and
+    raises ArithmeticError.  For q(X^2) the parity of the type is that of
+    its twisted blocks, so a wrong twist fails the check.  For
+    B^m P(A/B), a twisted block 3d and three untwisted blocks d, d, d
+    have one sign, so the check cannot see a wrong twist there; the
+    tests compare the two paths at every scan prime of rubik_f for that.
+    """
+    _require_prime(p)
+    return _type(f, p)
+
+
+def _sign(f: PolyQ, p: int):
+    """`frobenius_sign` for a p known to be prime, as the linkages draw
+    it from `primes()`."""
+    if p == 2:
+        t = _type(f, p)
+        return None if t is None else t.parity
+    return _stickelberger(f, p)
+
+
 def frobenius_sign(f: PolyQ, p: int):
     """The sign (+1 or -1) of a Frobenius element of f at p, or None
-    exactly where `frobenius_type` returns None.
+    exactly where `frobenius_type` returns None; a composite p raises
+    ValueError.
 
     By Stickelberger's theorem the sign at an odd good prime is the
     Legendre symbol (disc f / p), read off disc f mod p by Euler's
     criterion with no factorization.  At p = 2 no such symbol applies,
     and the sign is the parity of the checked type.
     """
-    if p == 2:
-        t = frobenius_type(f, p)
-        return None if t is None else t.parity
-    return _stickelberger(f, p)
+    _require_prime(p)
+    return _sign(f, p)

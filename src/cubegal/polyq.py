@@ -228,6 +228,13 @@ def discriminant(f: PolyQ) -> Fraction:
     return res / f.lc
 
 
+# Shanks' simplest-cubic map A/B (D. Shanks, "The simplest cubic fields",
+# Math. Comp. 28, 1974): invariant under the order-3 substitution
+# x -> 1/(1 - x), so B^m P(A/B) has its roots in orbits of 3
+SHANKS_A = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
+SHANKS_B = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
+
+
 def compose(p: PolyQ, a: PolyQ, b: PolyQ) -> PolyQ:
     """B^deg P * P(A/B), exact; with B = 1 this is P(A).
 

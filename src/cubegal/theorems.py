@@ -38,8 +38,8 @@ from . import evidence
 from .evidence import (certify_symmetric, parity_linkage, predict_wreath_types,
                        scan, triple_parity_linkage, types_within)
 from .perm import CycleType
-from .polyq import (PolyQ, compose, discriminant, exact_str, trinomial_disc,
-                    trinomial_poly)
+from .polyq import (SHANKS_A, SHANKS_B, PolyQ, compose, discriminant, exact_str,
+                    trinomial_disc, trinomial_poly)
 from .report import CheckReport
 from .sqclass import is_square, square_class_equal
 from .structure import (R3_ORDER, R4_ORDER, R5_ORDER, r3_predicted_order,
@@ -61,8 +61,6 @@ Z_PARAM = 14464014796817312400264098
 P2_CONST = 195574568093355782014153
 
 P8 = PolyQ.from_coeffs([6489, -2139, 0, 0, 0, 0, 0, 0, 1])  # Y^8 - 2139Y + 6489
-SHANKS_A = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
-SHANKS_B = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
 
 # ---------------------------------------------------------------------------
 # the degree-24 polynomials

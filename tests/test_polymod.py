@@ -9,7 +9,7 @@ from cubegal import polymod, theorems
 from cubegal.perm import CycleType
 from cubegal.polymod import (PolyFp, _Residues, _settle, ddf_cycle_type, frobenius_sign,
                              frobenius_type, is_prime, powmod, primes, reduce_mod_p)
-from cubegal.polyq import PolyQ, discriminant, trinomial_poly
+from cubegal.polyq import SHANKS_A, SHANKS_B, PolyQ, compose, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
 from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, reference_ddf,
                        reference_reduction, schoolbook_mul, schoolbook_row)
@@ -454,3 +454,81 @@ def test_legendre_requires_an_odd_prime():
     for bad in (2, 9, 1, 0, -7):
         with pytest.raises(ValueError):
             legendre(5, bad)
+
+
+# -- Frobenius types through block quotients ------------------------------------
+
+
+def scan_keys(f, budget=500):
+    """The first `budget` primes good for f, as a scan draws them."""
+    return list(itertools.islice((p for p in primes() if frobenius_type(f, p) is not None), budget))
+
+
+@pytest.mark.parametrize("name", ["rubik_f", "rubik_g"])
+def test_block_quotient_types_equal_the_plain_ddf_at_every_scan_key(name):
+    # rubik_f takes its base's DDF at p = 1 mod 3 and rubik_g at every odd
+    # prime; a wrong twist in the Shanks case keeps the sign, so only this
+    # equality can see it there
+    f = NAMED_POLYNOMIALS[name]()
+    keys = scan_keys(f)
+    lifted = [p for p in keys if polymod._block_type(f, p) is not None]
+    for p in keys:
+        assert frobenius_type(f, p) == polymod._ddf(polymod._monic(f, p), p), (name, p)
+    assert lifted == [p for p in keys if p % 3 == 1 or name == "rubik_g" and p > 2]
+    assert len(keys) == 500 and len(lifted) > 240
+
+
+def test_cover_finds_the_block_structures_and_only_them():
+    assert polymod._cover(theorems.rubik_f()) == (theorems.P8, 3)
+    assert polymod._cover(theorems.rubik_g()) == (theorems.rubik_g_resolvent(), 2)
+    for name in ("revenge_h", "revenge_g", "professor_h2", "professor_h3"):
+        assert polymod._cover(NAMED_POLYNOMIALS[name]()) is None, name
+
+
+def test_a_perturbed_corner_polynomial_is_covered_and_agrees_with_the_plain_ddf():
+    # Y^8 - 2139Y + 6490 breaks rubik_f's index-3 identity, not its blocks
+    base = PolyQ.from_coeffs([6490, -2139, 0, 0, 0, 0, 0, 0, 1])
+    f = compose(base, SHANKS_A, SHANKS_B)
+    assert polymod._cover(f) == (base, 3)
+    lifted = 0
+    for p in scan_keys(f, 200):
+        assert frobenius_type(f, p) == polymod._ddf(polymod._monic(f, p), p), p
+        lifted += polymod._block_type(f, p) is not None
+    assert lifted > 80
+
+
+def test_cover_refuses_near_misses():
+    # odd coefficients, a root at 0, and a Shanks filter passed by a
+    # polynomial that is no composition
+    assert polymod._cover(PolyQ.from_coeffs([1, 1, 1])) is None
+    assert polymod._cover(PolyQ.from_coeffs([0, 0, 1, 0, 1])) is None
+    shanks = compose(PolyQ.from_coeffs([5, 3, 1]), SHANKS_A, SHANKS_B)
+    assert polymod._cover(shanks) == (PolyQ.from_coeffs([5, 3, 1]), 3)
+    near = PolyQ.from_coeffs([c + (k == 3) - (k == 4) for k, c in enumerate(shanks.coeffs)])
+    assert polymod._cover(near) is None
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 15, 561])
+def test_public_frobenius_functions_refuse_a_composite_p(p):
+    for f in (theorems.rubik_g(), theorems.revenge_h()):
+        with pytest.raises(ValueError, match="not prime"):
+            frobenius_type(f, p)
+        with pytest.raises(ValueError, match="not prime"):
+            frobenius_sign(f, p)
+
+
+def test_frobenius_type_refuses_a_flipped_twist_of_q_of_x_squared(monkeypatch):
+    # at p = 19 q is irreducible and its one block untwisted, so rubik_g's
+    # type is 12.12; the flipped twist, 24, has the other parity
+    g = theorems.rubik_g()
+    assert frobenius_type(g, 19) == CycleType((12, 12))
+    ddf, covers = polymod._ddf, []
+
+    def flipped(f, p, *cover):
+        covers.append(cover[0] if cover else 1)
+        t = ddf(f, p, *cover)
+        return CycleType((24,)) if cover and t == CycleType((12, 12)) else t
+    monkeypatch.setattr(polymod, "_ddf", flipped)
+    with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=19"):
+        frobenius_type(g, 19)
+    assert covers == [2]

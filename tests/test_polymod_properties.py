@@ -9,9 +9,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from cubegal.polymod import PolyFp, _divexact, _divmod, _Residues, ddf_cycle_type, powmod
-from reference import (legendre, poly_rem, reference_ddf, reference_powmod, schoolbook_mul,
-                       schoolbook_row, trim)
+from cubegal import polymod
+from cubegal.polymod import (PolyFp, _divexact, _divmod, _Residues, ddf_cycle_type,
+                             frobenius_type, is_prime, powmod)
+from cubegal.polyq import SHANKS_A, SHANKS_B, PolyQ, compose
+from reference import (legendre, poly_rem, reference_ddf, reference_powmod, reference_reduction,
+                       schoolbook_mul, schoolbook_row, trim)
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=200)
 # tiny, small, benchmark-sized and word-sized primes; 2^31 - 1 needs
@@ -151,3 +154,30 @@ def test_divexact_refuses_a_remainder(case):
 def test_legendre_of_a_fraction(p, a, b):
     assume(a * b % p)
     assert legendre(Fraction(a, b), p) == legendre(a * b, p)
+
+
+@st.composite
+def block_covers(draw):
+    """(f, base, k): f = q(X^2) with q(0) != 0 and k = 2, or
+    f = B^m P(A/B), m = 2..4, with Shanks' A and B and k = 3; small
+    integer coefficients, the leading one nonzero."""
+    k = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 6) if k == 2 else st.integers(2, 4))
+    coeffs = st.integers(-30, 30)
+    base = draw(st.lists(coeffs, min_size=m, max_size=m)) + [draw(coeffs.filter(bool))]
+    if k == 2:
+        base[0] = base[0] or 1
+        return compose(PolyQ.from_coeffs(base), PolyQ.from_coeffs([0, 0, 1]), PolyQ.one()), base, k
+    return compose(PolyQ.from_coeffs(base), SHANKS_A, SHANKS_B), base, k
+
+
+@DETERMINISTIC
+@given(block_covers(), st.sampled_from([p for p in range(300) if is_prime(p)]))
+def test_block_quotient_types_match_the_reference_ddf(cover, p):
+    # the even case at every odd p, the Shanks case at p = 1 mod 3; a
+    # Shanks composition that happens to be even is found as q(X^2)
+    f, base, k = cover
+    assert polymod._cover(f) in {(PolyQ.from_coeffs(base), k), (PolyQ(f.coeffs[::2]), 2)}
+    residues = reference_reduction(f, p)
+    expected = None if residues is None else reference_ddf(residues, p)
+    assert frobenius_type(f, p) == expected

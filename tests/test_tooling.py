@@ -171,6 +171,8 @@ _UNCALLED_ALLOWED = {
     "evidence.MIN_DISTINCT_TYPES_S24": "statistical window the ROADMAP pins in evidence",
     "evidence.EVEN_FRACTION_WINDOW": "statistical window the ROADMAP pins in evidence",
     "theorems.professor_h1_stated": "the paper's named factor, as stated",
+    "polymod.frobenius_sign": "the checked entry point; linkages draw their primes from "
+                              "primes() and call its helper, which tests no primality",
 }
 
 
