@@ -28,14 +28,19 @@ Two block structures let DDF run on a smaller base polynomial
 (`notes/decisions.md`, "Frobenius types through block quotients"):
 f = q(X^2) with f(0) != 0, and f = B^m P(A/B) with Shanks' simplest-cubic
 map A/B = (X^3 - 3X + 1)/(X^2 - X).  `_cover` finds them once per
-polynomial and proves them exactly.  At p = 1 mod k (k = 2 or 3 roots in
-a block) the roots over a root b of the base are, up to a Moebius map
-over F_p, the k-th roots of a Kummer element E(b), so each factor of
-degree d of the base gives k factors of degree d of f or one of degree
-kd, as E(b) is a k-th power in F_(p^d) or not.  A lone factor decides
-that by the Kummer character of its norm, with no gcd; only several
-factors of one degree need E^((p^d - 1)/k) mod the base.  Other primes,
-and other polynomials, take the plain DDF of f.
+polynomial and proves them exactly.  Over a root b of the base the k
+roots of f (k = 2 or 3, a block) are, up to a Moebius map, the k-th
+roots of a Kummer element E(b), so each factor of degree d of the base
+gives k factors of degree d of f or one of degree kd, as E(b) is a k-th
+power or not.  Where E and the map are defined over F_p (the even case
+at odd p, the Shanks case at p = 1 mod 3), a lone factor decides that by
+the Kummer character of its norm, with no gcd, and several factors of
+one degree by gcd(E^((p^d - 1)/k) - 1, their product).  In the Shanks
+case at p = 2 mod 3 they are defined over R = F_(p^2): a lone factor
+phi is untwisted iff phi(3w) is a cube in R, one power in R, and
+several factors of one degree are counted by a gcd on their preimage
+in f.  p = 2 in the even case, p = 3 in the Shanks case, and other
+polynomials take the plain DDF of f.
 
 `frobenius_type` reads a rational polynomial at a prime through its
 integer form, `num` over `den`, and builds no `PolyFp`: the monic
@@ -217,6 +222,15 @@ def _evaluate(a: list[int], x: int, p: int) -> int:
     for c in reversed(a):
         value = (value * x + c) % p
     return value
+
+
+def _mul(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b mod p, schoolbook, for nonempty a and b."""
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return [v % p for v in c]
 
 
 def _deriv(a: list[int], p: int) -> list[int]:
@@ -435,11 +449,62 @@ def _settle(k: int, lo: int, hi: int) -> tuple[int, ...] | None:
     return sums[k][0][::-1] if len(sums[k]) == 1 else None
 
 
+def _r_mul(a: tuple[int, int], b: tuple[int, int], p: int) -> tuple[int, int]:
+    """(a0 + a1 W)(b0 + b1 W) in R = F_p[W]/(W^2 - W + 1), as W^2 = W - 1."""
+    (a0, a1), (b0, b1) = a, b
+    return (a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * (b0 + b1)) % p
+
+
+def _at_3w(a: list[int], p: int) -> tuple[int, int]:
+    """a(3W) in R, by Horner's rule: (x + yW) 3W = -3y + 3(x + y) W."""
+    x = y = 0
+    for c in reversed(a):
+        x, y = (c - 3 * y) % p, 3 * (x + y) % p
+    return x, y
+
+
+def _is_cube(a: tuple[int, int], p: int) -> bool:
+    """Whether a nonzero a of R = F_(p^2), p = 2 mod 3, is a cube: iff
+    a^((p^2 - 1)/3) = 1, that is iff c = a^((p + 1)/3) has c^(p - 1) = 1,
+    iff c lies in F_p, its W coordinate 0."""
+    c = (1, 0)
+    for bit in bin((p + 1) // 3)[2:]:
+        c = _r_mul(c, c, p)
+        if bit == "1":
+            c = _r_mul(c, a, p)
+    return c[1] == 0
+
+
+def _shanks_preimage(g: list[int], p: int) -> list[int]:
+    """B^r g(A/B) mod p, for g monic of degree r and Shanks' A and B, by
+    Horner on the homogenized g: the factor over g of B^m P(A/B) when g
+    divides P."""
+    image, b_power = [g[-1]], [1]
+    for c in reversed(g[:-1]):
+        image, b_power = _mul(image, SHANKS_A.num, p), _mul(b_power, SHANKS_B.num, p)
+        for i, v in enumerate(b_power):  # B^j, degree 2j, is shorter than the image, 3j
+            image[i] += c * v
+    return [c % p for c in image]
+
+
+def _split_degree(f: list[int], p: int, e: int) -> int:
+    """deg gcd(X^(p^e) - X, f), for f monic and squarefree of degree >= 2:
+    the total degree of the factors of f whose degree divides e."""
+    residues = _Residues(f, p)
+    w = residues.x_power(p)
+    if e > 1:
+        q = residues.frobenius(w)
+        for _ in range(e - 1):
+            w = residues.apply(w, q)
+    w[1] = (w[1] - 1) % p
+    return len(_gcd(_trim(w), f, p)) - 1
+
+
 def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] = ()) -> CycleType:
     """Irreducible-factor degrees of f, monic and squarefree of degree
     n >= 1 over F_p: the DDF body that ddf_cycle_type and frobenius_type
-    share.  With k > 1 and `kummer`, the degrees of a C_k cover of f
-    instead (below); k = 1 is the plain DDF.
+    share.  With k > 1, the degrees of a C_k cover of f instead (below);
+    k = 1 is the plain DDF.
 
     Let f* be what is left of f once its factors of degree < d are
     removed; its factors of degree d are those of gcd(X^(p^d) - X, f*),
@@ -468,17 +533,31 @@ def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] =
     Covers (`notes/decisions.md`, "Frobenius types through block
     quotients").  For k > 1, f is the base of a polynomial F whose roots
     lie in blocks of k: those over a root b of f are, up to a Moebius
-    map defined over F_p, the k-th roots of E(b), with
-    E = prod (Y - a)^m over the pairs (a, m) of `kummer`, p = 1 mod k and
-    no E(b) zero.  A factor phi of f of degree d, b one of its roots,
-    gives F k factors of degree d when E(b) is a k-th power in F_(p^d)
-    ("untwisted"), and one factor of degree kd otherwise ("twisted").
-    E(b) is a k-th power iff v_d = E^((p^d - 1)/k) is 1 mod phi.  A lone
-    factor tests its norm instead, with no gcd: v_d mod phi is
+    map, the k-th roots of E(b), and no E(b) is zero.  A factor phi of f
+    of degree d, b one of its roots, gives F k factors of degree d when
+    E(b) is a k-th power in the field that b and the map's coefficients
+    generate ("untwisted"), and one factor of degree kd otherwise
+    ("twisted").
+
+    With `kummer`, the map is defined over F_p, p = 1 mod k, and
+    E = prod (Y - a)^m over the pairs (a, m) of `kummer`.  E(b) is a
+    k-th power iff v_d = E^((p^d - 1)/k) is 1 mod phi.  A lone factor
+    tests its norm instead, with no gcd: v_d mod phi is
     N(E(b))^((p - 1)/k), and N(b - a) = (-1)^d phi(a).  Several factors
     of one degree take gcd(v_d - 1, their product), the untwisted ones;
     v_d is made only then, from v_1 = E^((p - 1)/k) mod f by
-    v_(d+1) = v_1 * v_d(X^p), with the same rows of Q.  So with k > 1 the
+    v_(d+1) = v_1 * v_d(X^p), with the same rows of Q.
+
+    Without `kummer`, f is the base of a Shanks composition at
+    p = 2 mod 3 (k = 3), and the map and E = (Y - 3w)(Y - 3w')^2 have
+    coefficients in R = F_p[W]/(W^2 - W + 1) = F_(p^2).  A lone factor
+    phi is untwisted iff phi(3W) is a cube in R (`_is_cube`), for either
+    parity of d.  Several factors of one degree e, product g, are
+    counted on F's factor over g, G = B^(deg g) g(A/B): its factors have
+    degree e (untwisted, three per factor of g) or 3e (twisted), so
+    deg gcd(X^(p^e) - X, G) is 3e times the untwisted count.
+
+    Either way the twist belongs to each factor, so with k > 1 the
     settle rule may end a batch only on at most one factor.
 
     f is squarefree, so its factors are distinct, and multiplicity in
@@ -495,7 +574,12 @@ def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] =
         if k == 1:
             parts.extend([e] * count)
             return
-        if count == 1:
+        if not kummer:  # the Shanks case at p = 2 mod 3: E lies in R[Y]
+            if count == 1:
+                untwisted = int(_is_cube(_at_3w(factors, p), p))
+            else:
+                untwisted = _split_degree(_shanks_preimage(factors, p), p, e) // (3 * e)
+        elif count == 1:
             norm = 1
             for a, m in kummer:
                 at_a = _evaluate(factors, a, p)
@@ -643,27 +727,32 @@ def _cover(f: PolyQ):
 def _block_type(f: PolyQ, p: int):
     """The cycle type of f mod p read off its cover's base, by `_ddf`
     with the twists; None where f has no cover or p fails a precondition:
-    p = 1 mod k, the base reducible at p, and no root of the base where
+    p prime to k, the base reducible at p, and no root of the base where
     the Kummer element E vanishes.
 
     The even case takes E = Y at every odd p.  The Shanks case takes
-    E = (Y - 3w)(Y - 3w')^2 at p = 1 mod 3, w and w' = 1 - w the roots of
-    X^2 - X + 1: w = -z for the first z = a^((p - 1)/3) other than 1,
-    a = 2, 3, ...  So p = 2, and p = 3 in the Shanks case, are left to
-    the plain DDF.
+    E = (Y - 3w)(Y - 3w')^2, w and w' = 1 - w the roots of X^2 - X + 1.
+    At p = 1 mod 3 they lie in F_p: w = -z for the first
+    z = a^((p - 1)/3) other than 1, a = 2, 3, ...  At p = 2 mod 3 they
+    lie in R = F_(p^2) and are conjugate, so E vanishes at a root of the
+    base iff base(3W) = 0 in R; `_ddf` then tests twists in R.  So p = 2
+    in the even case and p = 3 in the Shanks case are left to the plain
+    DDF.
     """
     cover = _cover(f)
     if cover is None:
         return None
     base, k = cover
-    if (p - 1) % k or not _reducible(base, p):
+    if p % k == 0 or not _reducible(base, p):
         return None
+    base = _monic(base, p)
+    if k == 3 and p % 3 == 2:
+        return None if _at_3w(base, p) == (0, 0) else _ddf(base, p, k)
     if k == 2:
         kummer = ((0, 1),)
     else:
         z = next(z for z in (pow(a, (p - 1) // 3, p) for a in count(2)) if z != 1)
         kummer = ((-3 * z % p, 1), (3 * (1 + z) % p, 2))
-    base = _monic(base, p)
     if any(_evaluate(base, a, p) == 0 for a, _ in kummer):
         return None
     return _ddf(base, p, k, kummer)
@@ -699,7 +788,8 @@ def frobenius_type(f: PolyQ, p: int):
     its twisted blocks, so a wrong twist fails the check.  For
     B^m P(A/B), a twisted block 3d and three untwisted blocks d, d, d
     have one sign, so the check cannot see a wrong twist there; the
-    tests compare the two paths at every scan prime of rubik_f for that.
+    tests compare the two paths at every scan prime of rubik_f, where
+    every good prime takes the base, for that.
     """
     _require_prime(p)
     return _type(f, p)

@@ -627,6 +627,43 @@ def oracle_factor_degrees(coeffs, p: int) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
+# -- R = F_p[W]/(W^2 - W + 1): pairs (x, y) for x + yW ----------------------
+# F_(p^2) at p = 2 mod 3, F_p x F_p at p = 1 mod 3.  The cubes come from
+# cubing every unit, so no character or power rule is assumed.
+
+
+def r_mul(a, b, p: int) -> tuple[int, int]:
+    """(a0 + a1 W)(b0 + b1 W), expanded, with W^2 replaced by W - 1."""
+    a0, a1 = a
+    b0, b1 = b
+    c0, c1, c2 = a0 * b0, a0 * b1 + a1 * b0, a1 * b1
+    return (c0 - c2) % p, (c1 + c2) % p
+
+
+def r_conjugate(a, p: int) -> tuple[int, int]:
+    """sigma(x + yW) = x + y(1 - W), W -> 1 - W the other root."""
+    x, y = a
+    return (x + y) % p, -y % p
+
+
+def r_evaluate(coeffs, a, p: int) -> tuple[int, int]:
+    """sum coeffs[i] a^i in R, power by power."""
+    total, power = (0, 0), (1, 0)
+    for c in coeffs:
+        total = ((total[0] + c * power[0]) % p, (total[1] + c * power[1]) % p)
+        power = r_mul(power, a, p)
+    return total
+
+
+@cache
+def r_units_and_cubes(p: int) -> tuple[frozenset, frozenset]:
+    """The units of R, the x + yW with an inverse among the p^2 pairs, and
+    the set of their cubes."""
+    pairs = [(x, y) for x in range(p) for y in range(p)]
+    units = frozenset(a for a in pairs if any(r_mul(a, b, p) == (1, 0) for b in pairs))
+    return units, frozenset(r_mul(r_mul(a, a, p), a, p) for a in units)
+
+
 def poly_to_json(f: PolyQ) -> dict:
     """{"degree": n, "coefficients": [...]} with exact decimal strings."""
     return {"degree": f.degree, "coefficients": [exact_str(c) for c in f.coeffs]}

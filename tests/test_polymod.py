@@ -11,8 +11,9 @@ from cubegal.polymod import (PolyFp, _Residues, _settle, ddf_cycle_type, frobeni
                              frobenius_type, is_prime, powmod, primes, reduce_mod_p)
 from cubegal.polyq import SHANKS_A, SHANKS_B, PolyQ, compose, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
-from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, reference_ddf,
-                       reference_reduction, schoolbook_mul, schoolbook_row)
+from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, r_conjugate, r_evaluate,
+                       r_mul, r_units_and_cubes, reference_ddf, reference_reduction, schoolbook_mul,
+                       schoolbook_row)
 
 # the named polynomials of the theorem suites, h1 both as derived and as stated
 NAMED_POLYNOMIALS = {
@@ -466,16 +467,33 @@ def scan_keys(f, budget=500):
 
 @pytest.mark.parametrize("name", ["rubik_f", "rubik_g"])
 def test_block_quotient_types_equal_the_plain_ddf_at_every_scan_key(name):
-    # rubik_f takes its base's DDF at p = 1 mod 3 and rubik_g at every odd
-    # prime; a wrong twist in the Shanks case keeps the sign, so only this
-    # equality can see it there
+    # rubik_f takes its base's DDF at every scan prime, through F_p at
+    # p = 1 mod 3 and through R = F_(p^2) at p = 2 mod 3, and rubik_g at
+    # every odd prime; a wrong twist in the Shanks case keeps the sign, so
+    # only this equality can see it there
     f = NAMED_POLYNOMIALS[name]()
     keys = scan_keys(f)
     lifted = [p for p in keys if polymod._block_type(f, p) is not None]
     for p in keys:
         assert frobenius_type(f, p) == polymod._ddf(polymod._monic(f, p), p), (name, p)
-    assert lifted == [p for p in keys if p % 3 == 1 or name == "rubik_g" and p > 2]
-    assert len(keys) == 500 and len(lifted) > 240
+    assert lifted == keys and len(keys) == 500
+
+
+def test_both_rules_at_p_2_mod_3_run_on_rubik_f_and_agree_with_the_plain_ddf(monkeypatch):
+    # 162 of rubik_f's 254 scan primes at p = 2 mod 3 see only lone factors
+    # of P8, and 92 have several factors of one degree, counted on their
+    # preimage; both kinds give the plain DDF's type
+    f = theorems.rubik_f()
+    preimage, several = polymod._shanks_preimage, set()
+
+    def spy(g, p):
+        several.add(p)
+        return preimage(g, p)
+    monkeypatch.setattr(polymod, "_shanks_preimage", spy)
+    keys = [p for p in scan_keys(f) if p % 3 == 2]
+    for p in keys:
+        assert polymod._block_type(f, p) == polymod._ddf(polymod._monic(f, p), p), p
+    assert (len(keys), len(several)) == (254, 92)
 
 
 def test_cover_finds_the_block_structures_and_only_them():
@@ -490,11 +508,12 @@ def test_a_perturbed_corner_polynomial_is_covered_and_agrees_with_the_plain_ddf(
     base = PolyQ.from_coeffs([6490, -2139, 0, 0, 0, 0, 0, 0, 1])
     f = compose(base, SHANKS_A, SHANKS_B)
     assert polymod._cover(f) == (base, 3)
-    lifted = 0
+    unlifted = []
     for p in scan_keys(f, 200):
         assert frobenius_type(f, p) == polymod._ddf(polymod._monic(f, p), p), p
-        lifted += polymod._block_type(f, p) is not None
-    assert lifted > 80
+        if polymod._block_type(f, p) is None:
+            unlifted.append(p)
+    assert unlifted == [3]  # 3 divides k; p = 2 is good here and takes R
 
 
 def test_cover_refuses_near_misses():
@@ -532,3 +551,51 @@ def test_frobenius_type_refuses_a_flipped_twist_of_q_of_x_squared(monkeypatch):
     with pytest.raises(ArithmeticError, match="degree-24 polynomial at p=19"):
         frobenius_type(g, 19)
     assert covers == [2]
+
+
+# -- the twist test in R = F_p[W]/(W^2 - W + 1) ---------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 5, 11, 17, 23])
+def test_cube_test_in_f_p_squared_against_the_enumerated_cubes(p):
+    units, cubes = r_units_and_cubes(p)
+    assert len(units) == p * p - 1 and len(cubes) == len(units) // 3
+    for a in units:
+        assert polymod._is_cube(a, p) == (a in cubes), (p, a)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 11, 13, 17, 19, 23])
+def test_the_twist_of_a_lone_factor_is_the_cube_class_of_its_value_at_3w(p):
+    # phi irreducible mod p, the base of B^d phi(A/B): its type is d.d.d
+    # when phi(3W) sigma(phi(3W))^2 is a cube of a unit of R, else 3d, at
+    # either residue class of p (at p = 2 mod 3 that is phi(3W) a cube)
+    units, cubes = r_units_and_cubes(p)
+    rng = random.Random(p)
+    outcomes = set()
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        phi = [rng.randrange(p) for _ in range(d)] + [1]
+        a = r_evaluate(phi, (0, 3 % p), p)
+        assert polymod._at_3w(phi, p) == a, (p, phi)
+        twist = r_mul(a, r_mul(r_conjugate(a, p), r_conjugate(a, p), p), p)
+        if reference_ddf(phi, p) != CycleType((d,)) or twist not in units:
+            continue  # phi reducible, or phi(3w) = 0 and p bad for f
+        f = compose(PolyQ.from_coeffs(phi), SHANKS_A, SHANKS_B)
+        expected = CycleType((d, d, d) if twist in cubes else (3 * d,))
+        assert reference_ddf(reference_reduction(f, p), p) == expected, (p, phi)
+        assert polymod._block_type(f, p) == expected, (p, phi)
+        outcomes.add(twist in cubes)
+    # F_4* has only 1 as a cube, and no phi(W) of an irreducible phi is 1
+    assert outcomes == ({False} if p == 2 else {False, True})
+
+
+def test_block_type_is_none_where_the_base_vanishes_at_3w():
+    # Y^2 - 3Y + 9 = (Y - 3w)(Y - 3w') is 0 at 3W in R for every p, so w is a
+    # triple root of f and every p is bad; the base is still reducible
+    base = PolyQ.from_coeffs([9, -3, 1]) * PolyQ.from_coeffs([-5, 1])
+    f = compose(base, SHANKS_A, SHANKS_B)
+    assert polymod._cover(f) == (base, 3)
+    for p in itertools.takewhile(lambda p: p < 200, primes()):
+        assert polymod._at_3w(polymod._monic(base, p), p) == (0, 0), p
+        assert polymod._block_type(f, p) is None, p
+        assert frobenius_type(f, p) is None, p

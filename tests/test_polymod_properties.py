@@ -174,8 +174,9 @@ def block_covers(draw):
 @DETERMINISTIC
 @given(block_covers(), st.sampled_from([p for p in range(300) if is_prime(p)]))
 def test_block_quotient_types_match_the_reference_ddf(cover, p):
-    # the even case at every odd p, the Shanks case at p = 1 mod 3; a
-    # Shanks composition that happens to be even is found as q(X^2)
+    # the even case at every odd p, the Shanks case at every p but 3,
+    # through F_p at p = 1 mod 3 and through R = F_(p^2) at p = 2 mod 3, p = 2
+    # included; a Shanks composition that happens to be even is found as q(X^2)
     f, base, k = cover
     assert polymod._cover(f) in {(PolyQ.from_coeffs(base), k), (PolyQ(f.coeffs[::2]), 2)}
     residues = reference_reduction(f, p)
