@@ -10,17 +10,20 @@ degree n.  It packs the n coefficients of a residue into fixed-width
 slots of one Python int (Kronecker substitution; Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", 2009),
 so a product of two residues is one bignum multiply in CPython's C code.
-The product's high slots are folded back by precomputed packed rows
-X^(n+k) mod f, each scaled by a small int and added; a row whose
-predecessor has top coefficient 0 is that row shifted by one slot.  Per
-prime, DDF computes X^p mod f once by squaring: the leading bits of p
-that keep the exponent below n give a monomial for free, and each
-multiply by X is a one-slot shift of a square before its fold.  It then
-builds the rows X^(ip) mod f of the Frobenius (Berlekamp Q-) matrix, and
-gets every later X^(p^d) as a linear combination of those rows (von zur
-Gathen & Gerhard, "Modern Computer Algebra", 14.2).  The gcds and exact
-divisions run on plain lists through one long-division loop, `_reduce`,
-which reduces mod p once per division.  A batch of degrees shares one
+The product's high slots are folded back onto the low ones.  For a
+trinomial f = X^n + f1 X + f0, binomials and X^n included, that is one
+more bignum multiply, by the packed tail X^n mod f = -f1 X - f0, as
+nearly every modulus the suites reduce by is such a trinomial.  Any
+other f folds by precomputed packed rows X^(n+k) mod f, each scaled by
+a small int and added.  Per prime, DDF computes X^p mod f once by
+squaring: the leading bits of p that keep the exponent below n give a
+monomial for free, and each multiply by X is a one-slot shift of a
+square before its fold.  It then builds the rows X^(ip) mod f of the
+Frobenius (Berlekamp Q-) matrix, and gets every later X^(p^d) as a
+linear combination of those rows (von zur Gathen & Gerhard, "Modern
+Computer Algebra", 14.2).  The gcds and exact divisions run on plain
+lists through one long-division loop, `_reduce`, which reduces mod p
+once per division.  A batch of degrees shares one
 gcd, and refining it stops, with no further gcd, as soon as the degree
 of what is left admits only one multiset of factor degrees.
 
@@ -70,7 +73,7 @@ from itertools import count
 from operator import mul
 
 from .perm import CycleType
-from .polyq import SHANKS_A, SHANKS_B, PolyQ, compose, discriminant
+from .polyq import SHANKS_A, SHANKS_B, PolyQ, discriminant, int_mul
 
 # Deterministic Miller-Rabin: the first k prime bases decide every
 # n < _PSI[k - 1], where _PSI[k - 1] is the least strong pseudoprime to
@@ -247,24 +250,35 @@ class _Residues:
     A residue is a list of n coefficients below p, ascending; packed, its
     coefficient k sits in slot k, `width` bytes wide.  The product of two
     packed residues is one bignum multiply whose slot k holds the sum of
-    the a_i * b_j with i + j = k.  `fold` reduces such a product mod f
-    with the packed rows X^(n+k) mod f, k < n: each high slot, taken mod
-    p, scales its row, and the scaled rows are added to the low n slots.
-    A slot then holds a sum of at most 2n products below p^2, and is wide
-    enough for that, so no slot carries into the next.
+    the a_i * b_j with i + j = k.  `fold` reduces such a product mod f,
+    or such a square shifted by one slot, as `x_power` makes to multiply
+    by X.  No slot may carry into the next, so `width` covers the largest
+    value a slot can reach in the fold of f's kind.
 
-    The rows are built once per (f, p).  X^(n+k+1) mod f is X^(n+k) mod f
-    times X: its slots shifted up by one, plus its top coefficient times
-    X^n mod f.  When that top coefficient is 0 the row is the previous
-    packed row shifted by one slot, with no pass mod p and no pack; for a
-    sparse f, such as a trinomial or q(X^2), most rows are such shifts.
-    The last row, X^(2n-1), serves `x_power`, whose squares are shifted by
-    one slot to multiply by X.
+    A trinomial f = X^n + f1 X + f0, n >= 2, with f1 or f0 possibly 0,
+    folds by its tail t = X^n mod f = -f1 X - f0, packed into two slots:
+    the high slots H, unreduced, times t, added to the low n slots.  That
+    is one bignum multiply, and H t reaches slot n only for a shifted
+    square; that one slot, taken mod p, times t goes round once more.  A
+    slot then holds at most 2n(p - 1)^3 + (n + 1)(p - 1)^2
+    (`notes/decisions.md`, "Folding by a trinomial's tail").
+
+    Any other f folds by the packed rows X^(n+k) mod f, k < n, built once
+    per (f, p): each high slot, taken mod p, scales its row, and the
+    scaled rows are added to the low n slots, a sum of at most 2n products
+    below p^2 per slot.  X^(n+k+1) mod f is X^(n+k) mod f times X: its
+    slots shifted up by one, plus its top coefficient times X^n mod f.
+    The last row, X^(2n-1), serves the shifted squares.
     """
 
     def __init__(self, f: list[int], p: int):
         n = len(f) - 1
-        width = -(-(2 * n * (p - 1) ** 2).bit_length() // 8)
+        # a trinomial X^n + f1 X + f0, binomials and X^n included, folds by
+        # its tail; its high slots stay unreduced, so its slots are wider
+        trinomial = n >= 2 and not any(f[2:-1])
+        bound = (2 * n * (p - 1) ** 3 + (n + 1) * (p - 1) ** 2 if trinomial
+                 else 2 * n * (p - 1) ** 2)
+        width = -(-bound.bit_length() // 8)
         if width <= 8:
             # round up to 1, 2, 4 or 8 bytes, which struct packs in C
             width = 1 << (width - 1).bit_length()
@@ -275,20 +289,18 @@ class _Residues:
         self.slot = 8 * width  # bits in one slot
         self.shift = self.slot * n  # bits in n slots
         self.low = (1 << self.shift) - 1
+        if trinomial:
+            # X^n mod f = -f1 X - f0, packed
+            self.tail, self.rows = -f[0] % p | (-f[1] % p) << self.slot, None
+            return
         # X^n, ..., X^(2n-1) mod f: the high slots of a product of residues,
         # and of a square shifted by one slot
         row = x_n = [-c % p for c in f[:-1]]
-        packed = self.pack(row)
-        self.rows = [packed]
+        self.rows = [self.pack(row)]
         for _ in range(n - 1):
             top = row[-1]
-            if top:
-                row = [(top * c + r) % p for c, r in zip(x_n, [0] + row[:-1])]
-                packed = self.pack(row)
-            else:
-                row = [0] + row[:-1]
-                packed <<= self.slot
-            self.rows.append(packed)
+            row = [(top * c + r) % p for c, r in zip(x_n, [0] + row[:-1])]
+            self.rows.append(self.pack(row))
 
     def pack(self, a: list[int]) -> int:
         if self.codec is not None:
@@ -310,8 +322,16 @@ class _Residues:
         """The residue mod f of c, a product of two packed residues or
         such a square shifted by one slot: its n high slots folded back
         onto the low ones."""
-        high = self.unpack_mod(c >> self.shift)
-        return self.unpack_mod(sum(map(mul, high, self.rows), c & self.low))
+        shift, low = self.shift, self.low
+        if self.rows is None:
+            # the high slots times the tail land on slots 0..n; only a
+            # shifted square reaches slot n, whose one value goes round again
+            c = (c >> shift) * self.tail + (c & low)
+            if c >> shift:
+                c = (c & low) + (c >> shift) % self.p * self.tail
+            return self.unpack_mod(c)
+        high = self.unpack_mod(c >> shift)
+        return self.unpack_mod(sum(map(mul, high, self.rows), c & low))
 
     def mulmod(self, a: list[int], b: list[int]) -> list[int]:
         """a * b mod f: one bignum multiply, then the high slots folded back."""
@@ -546,7 +566,9 @@ def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] =
     N(E(b))^((p - 1)/k), and N(b - a) = (-1)^d phi(a).  Several factors
     of one degree take gcd(v_d - 1, their product), the untwisted ones;
     v_d is made only then, from v_1 = E^((p - 1)/k) mod f by
-    v_(d+1) = v_1 * v_d(X^p), with the same rows of Q.
+    v_(d+1) = v_1 * v_d(X^p), with the same rows of Q.  In the even case,
+    E = Y and v_1 = X^((p - 1)/2), whose square shifted by one slot folds
+    to X^p; so X^p's ladder passes through v_1, which costs nothing more.
 
     Without `kummer`, f is the base of a Shanks composition at
     p = 2 mod 3 (k = 3), and the map and E = (Y - 3w)(Y - 3w')^2 have
@@ -607,7 +629,11 @@ def _ddf(f: list[int], p: int, k: int = 1, kummer: tuple[tuple[int, int], ...] =
         while d < last:
             d += 1
             if w is None:
-                w = residues.x_power(p)
+                if k == 2:  # E = Y: v_1 = X^((p - 1)/2) is a step on X^p's ladder
+                    twists.append(residues.x_power(p >> 1))
+                    w = residues.fold(residues.pack(twists[0]) ** 2 << residues.slot)
+                else:
+                    w = residues.x_power(p)
             else:
                 if q is None:
                     q = residues.frobenius(w)  # w is still X^p here
@@ -701,26 +727,28 @@ def _cover(f: PolyQ):
     roots in orbits of x -> 1/(1 - x), three over each root of P.  B is 0
     at 0 and 1, where A is 1 and -1, so f(0) = lc f and
     f(1) = (-1)^m lc f, a cheap filter.  A^j B^(m - j) is monic of degree
-    2m + j, so the coefficients of X^(2m + j), j = m..0, give P's by a
-    triangular solve; compose(P, A, B) == f is then checked exactly.
+    2m + j, with integer coefficients, so on f's integer form the
+    coefficients of X^(2m + j), j = m..0, give those of den * P by a
+    triangular solve.  An exactly zero remainder then proves
+    num = sum (den P_j) A^j B^(m - j), that is f = B^m P(A/B).
     """
     n, num = f.degree, f.num
     if n >= 2 and n % 2 == 0 and num[0] and not any(num[1::2]):
         return PolyQ(f.coeffs[::2]), 2
     m = n // 3
     if m and n % 3 == 0 and num[0] == num[-1] and sum(num) == (-1) ** m * num[-1]:
-        a_powers, b_powers = [PolyQ.one()], [PolyQ.one()]
+        a_powers, b_powers = [[1]], [[1]]
         for _ in range(m):
-            a_powers.append(a_powers[-1] * SHANKS_A)
-            b_powers.append(b_powers[-1] * SHANKS_B)
-        rest, base = f, [0] * (m + 1)
+            a_powers.append(int_mul(a_powers[-1], SHANKS_A.num))
+            b_powers.append(int_mul(b_powers[-1], SHANKS_B.num))
+        rest, base = list(num), [0] * (m + 1)
         for j in reversed(range(m + 1)):
-            if len(rest.coeffs) > 2 * m + j:
-                base[j] = rest.coeffs[2 * m + j]
-                rest -= (a_powers[j] * b_powers[m - j]).scale(base[j])
-        base = PolyQ.from_coeffs(base)
-        if compose(base, SHANKS_A, SHANKS_B) == f:
-            return base, 3
+            base[j] = c = rest[2 * m + j]
+            if c:
+                for i, v in enumerate(int_mul(a_powers[j], b_powers[m - j])):
+                    rest[i] -= c * v
+        if not any(rest):
+            return PolyQ(tuple(Fraction(c, f.den) for c in base)), 3
     return None
 
 

@@ -235,16 +235,39 @@ SHANKS_A = PolyQ.from_coeffs([1, -3, 0, 1])  # X^3 - 3X + 1
 SHANKS_B = PolyQ.from_coeffs([0, -1, 1])  # X^2 - X
 
 
+def int_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer polynomials, ascending; [] is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def compose(p: PolyQ, a: PolyQ, b: PolyQ) -> PolyQ:
     """B^deg P * P(A/B), exact; with B = 1 this is P(A).
 
-    Horner on the homogenized P: acc <- acc*A + c_k*B^(n-k), k = n..0.
+    Horner on the homogenized P, on integer forms: with A = a.num / a.den
+    and B = b.num / b.den, B^n P(A/B) is the sum of p.num_k A'^k B'^(n-k)
+    over p.den (a.den b.den)^n, where A' = b.den a.num and B' = a.den b.num
+    are integer polynomials.  So acc <- acc*A' + num_k*B'^(n-k), k = n..0,
+    runs on ints, and the denominator divides once at the end.
     """
-    acc, b_pow = PolyQ.zero(), PolyQ.one()
-    for c in reversed(p.coeffs):
-        acc = acc * a + b_pow.scale(c)
-        b_pow = b_pow * b
-    return acc
+    a_int = [b.den * c for c in a.num]
+    b_int = [a.den * c for c in b.num]
+    acc: list[int] = []
+    b_pow = [1]
+    for c in reversed(p.num):
+        acc = int_mul(acc, a_int)
+        acc += [0] * (len(b_pow) - len(acc))
+        for i, v in enumerate(b_pow):
+            acc[i] += c * v
+        b_pow = int_mul(b_pow, b_int)
+    den = p.den * (a.den * b.den) ** max(p.degree, 0)
+    return PolyQ(tuple(Fraction(c, den) for c in acc))
 
 
 def trinomial_poly(u) -> PolyQ:

@@ -183,6 +183,16 @@ def evaluate(f: PolyQ, x) -> Fraction:
     return acc
 
 
+def fraction_compose(p: PolyQ, a: PolyQ, b: PolyQ) -> PolyQ:
+    """B^deg P * P(A/B) by Horner on the homogenized P in PolyQ arithmetic
+    on Fractions: acc <- acc*A + c_k*B^(n-k), k = n..0."""
+    acc, b_pow = PolyQ.zero(), PolyQ.one()
+    for c in reversed(p.coeffs):
+        acc = acc * a + b_pow.scale(c)
+        b_pow = b_pow * b
+    return acc
+
+
 @dataclass(frozen=True)
 class WreathElement:
     """An element (x, sigma) of C_n wr S_m: twist vector plus base

@@ -11,9 +11,9 @@ from cubegal.polymod import (PolyFp, _Residues, _settle, ddf_cycle_type, frobeni
                              frobenius_type, is_prime, powmod, primes, reduce_mod_p)
 from cubegal.polyq import SHANKS_A, SHANKS_B, PolyQ, compose, discriminant, trinomial_poly
 from cubegal.theorems import professor_h2
-from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, r_conjugate, r_evaluate,
-                       r_mul, r_units_and_cubes, reference_ddf, reference_reduction, schoolbook_mul,
-                       schoolbook_row)
+from reference import (legendre, oracle_factor_degrees, poly_deriv, poly_gcd, poly_rem, r_conjugate,
+                       r_evaluate, r_mul, r_units_and_cubes, reference_ddf, reference_powmod,
+                       reference_reduction, schoolbook_mul, schoolbook_row)
 
 # the named polynomials of the theorem suites, h1 both as derived and as stated
 NAMED_POLYNOMIALS = {
@@ -423,15 +423,118 @@ def test_settle_rule_against_enumeration():
                 assert _settle(k, lo, hi) == (found[0] if len(found) == 1 else None), (k, lo, hi)
 
 
-@pytest.mark.parametrize("name", ["revenge_h", "rubik_g", "rubik_f"])
+# dense moduli, which fold by rows: revenge_h(X + 1) has every coefficient
+# of the trinomial revenge_h spread over all 25 slots
+DENSE_MODULI = {
+    "revenge_h_shifted": lambda: compose(theorems.revenge_h(), PolyQ.from_coeffs([1, 1]),
+                                         PolyQ.one()),
+    "rubik_g": theorems.rubik_g,
+    "rubik_f": theorems.rubik_f,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_MODULI))
 @pytest.mark.parametrize("p", [13, 1087, 4409, 2 ** 31 - 1])
 def test_fold_rows_are_the_powers_of_x(name, p):
-    # a trinomial and q(X^2) take most rows as shifts, rubik_f few
-    f = list(reduce_mod_p(NAMED_POLYNOMIALS[name](), p).monic().coeffs)
+    f = list(reduce_mod_p(DENSE_MODULI[name](), p).monic().coeffs)
+    assert any(f[2:-1]), (name, p)
     residues = _Residues(f, p)
     assert len(residues.rows) == len(f) - 1
     for k, row in enumerate(residues.rows):
         assert residues.unpack_mod(row) == schoolbook_row(f, k, p), (name, p, k)
+
+
+# -- folding by a trinomial's tail ----------------------------------------------
+
+TAIL_PRIMES = [2, 3, 13, 4409, 2 ** 31 - 1]
+
+
+def tail_moduli(p):
+    """(label, f) for X^n + (p - 1) X + (p - 1), every coefficient at the
+    slot bound's extreme, at n = 2, 8, 12 and 24, the binomial X^24 - 1
+    (f1 = 0) and X^24 itself."""
+    moduli = [(f"n{n}", [p - 1, p - 1] + [0] * (n - 2) + [1]) for n in (2, 8, 12, 24)]
+    return moduli + [("binomial", [p - 1] + [0] * 23 + [1]), ("monomial", [0] * 24 + [1])]
+
+
+def schoolbook(a, f, p):
+    """a mod f, padded to deg f coefficients."""
+    r = poly_rem(a, f, p)
+    return r + [0] * (len(f) - 1 - len(r))
+
+
+@pytest.mark.parametrize("p", TAIL_PRIMES)
+def test_tail_fold_matches_schoolbook_at_the_slot_bound(p):
+    rng = random.Random(p)
+    for label, f in tail_moduli(p):
+        n = len(f) - 1
+        residues = _Residues(f, p)
+        assert residues.rows is None, (p, label)
+        top = [p - 1] * n  # every slot of a product at its largest
+        draws = [top] + [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+        for a in draws:
+            for b in (top, draws[-1]):
+                want = schoolbook(schoolbook_mul(a, b, p), f, p)
+                assert residues.mulmod(a, b) == want, (p, label)
+            # a square shifted by one slot reaches slot 2n - 1, folded twice
+            square = residues.pack(a) ** 2 << residues.slot
+            want = schoolbook([0] + schoolbook_mul(a, a, p), f, p)
+            assert residues.fold(square) == want, (p, label)
+        for e in (0, n - 1, n, 2 * n - 1, p, p + 1, 10 ** 6 + 3):
+            assert residues.x_power(e) == schoolbook(reference_powmod([0, 1], e, f, p), f, p), \
+                (p, label, e)
+        xp = residues.x_power(p)
+        rows = residues.frobenius(xp)
+        for i, row in enumerate(rows):
+            want = schoolbook(reference_powmod([0, 1], i * p, f, p), f, p)
+            assert residues.unpack_mod(row) == want, (p, label, i)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 1087, 2003, 4409, 2 ** 31 - 1])
+def test_the_square_of_x_to_the_half_shifted_once_is_x_to_the_p(p):
+    # the even case reads v_1 = X^((p - 1)/2) off the ladder to X^p; random
+    # monic q, dense and trinomial, of degree 2..24
+    rng = random.Random(p)
+    for _ in range(12):
+        n = rng.randint(2, 24)
+        q = [rng.randrange(p) for _ in range(n)] + [1]
+        for modulus in (q, q[:2] + [0] * (n - 2) + [1]):
+            residues = _Residues(modulus, p)
+            half = residues.x_power(p >> 1)
+            assert residues.fold(residues.pack(half) ** 2 << residues.slot) == residues.x_power(p)
+            x = [0, 1] + [0] * (n - 2)
+            assert half == residues.power(x, (p - 1) // 2), (p, modulus)
+
+
+SUITE_TRINOMIALS = ["P8", "professor_h1_derived", "professor_h1_stated", "professor_h2",
+                    "professor_h3", "revenge_g", "revenge_h", "rubik_g_resolvent"]
+
+
+@pytest.mark.parametrize("name", SUITE_TRINOMIALS)
+def test_the_suite_trinomials_fold_by_their_tail(name):
+    # the bases and factors the scans and certificates reduce by must stay
+    # off the rows; the resolvent q is not reducible at 5
+    f = theorems.P8 if name == "P8" else NAMED_POLYNOMIALS[name]()
+    checked = 0
+    for p in (5, 2003, 4409):
+        if polymod._reducible(f, p):
+            monic = polymod._monic(f, p)
+            residues = _Residues(monic, p)
+            assert residues.rows is None, (name, p)
+            assert residues.tail == (-monic[0] % p) + ((-monic[1] % p) << residues.slot)
+            checked += 1
+    assert checked >= (2 if name == "rubik_g_resolvent" else 3)
+
+
+def test_a_dense_shanks_preimage_folds_by_rows():
+    # the several-factor rule at p = 2 mod 3 reduces by B^r g(A/B), dense
+    p = 2003
+    for g in ([5, 1], [7, 3, 1], [11, 0, 2, 1]):
+        preimage = polymod._shanks_preimage(g, p)
+        residues = _Residues(preimage, p)
+        assert len(residues.rows) == len(preimage) - 1, g
+        for k, row in enumerate(residues.rows):
+            assert residues.unpack_mod(row) == schoolbook_row(preimage, k, p), (g, k)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 23, 4409, 20011, 2 ** 31 - 1])

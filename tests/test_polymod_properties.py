@@ -34,6 +34,18 @@ def modulus_and_residues(draw, count, degrees=st.integers(1, 24)):
 
 
 @st.composite
+def trinomial_and_residues(draw, count):
+    """A prime p, a monic X^n + f1 X + f0 over F_p with n = 2..24, f1 or
+    f0 possibly 0, and `count` residues of n coefficients each; these
+    moduli fold by their tail, which random dense ones almost never reach."""
+    p = draw(PRIMES)
+    n = draw(st.integers(2, 24))
+    residue = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    f = [draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))] + [0] * (n - 2) + [1]
+    return p, f, [draw(residue) for _ in range(count)]
+
+
+@st.composite
 def dividend_and_divisor(draw, min_degree=0):
     """A prime p, a trimmed a over F_p and a trimmed nonzero b over F_p of
     degree at least min_degree."""
@@ -91,8 +103,10 @@ def test_x_power_matches_schoolbook(case, data):
 @DETERMINISTIC
 @given(modulus_and_residues(0))
 def test_fold_rows_of_any_modulus(case):
+    # any dense modulus: a trinomial, every one of degree 2, has no rows
     p, f, _ = case
     f = monic(f, p)
+    assume(len(f) == 2 or any(f[2:-1]))
     residues = _Residues(f, p)
     assert [residues.unpack_mod(row) for row in residues.rows] == \
         [schoolbook_row(f, k, p) for k in range(len(f) - 1)]
@@ -110,6 +124,39 @@ def test_frobenius_step_is_the_p_th_power(case):
     xp = residues.x_power(p)
     step = residues.apply(w, residues.frobenius(xp))
     assert PolyFp(p, tuple(step)) == powmod(PolyFp(p, tuple(w)), p, PolyFp(p, tuple(f)))
+
+
+@DETERMINISTIC
+@given(trinomial_and_residues(2))
+def test_trinomial_product_matches_schoolbook(case):
+    p, f, (a, b) = case
+    residues = _Residues(f, p)
+    assert residues.rows is None
+    assert trim(residues.mulmod(a, b)) == poly_rem(schoolbook_mul(trim(a), trim(b), p), f, p)
+    # a square shifted by one slot, as x_power folds it
+    shifted = residues.fold(residues.pack(a) ** 2 << residues.slot)
+    assert trim(shifted) == poly_rem([0] + schoolbook_mul(a, a, p), f, p)
+
+
+@DETERMINISTIC
+@given(trinomial_and_residues(1), st.integers(0, 10 ** 6))
+def test_trinomial_powers_match_schoolbook(case, e):
+    p, f, (a,) = case
+    n = len(f) - 1
+    residues = _Residues(f, p)
+    expected = reference_powmod([0, 1], e, f, p)
+    assert residues.x_power(e) == expected + [0] * (n - len(expected))
+    got = powmod(PolyFp(p, tuple(a)), e, PolyFp(p, tuple(f)))
+    assert list(got.coeffs) == reference_powmod(trim(list(a)), e, f, p)
+
+
+@DETERMINISTIC
+@given(trinomial_and_residues(1))
+def test_trinomial_frobenius_step_is_the_p_th_power(case):
+    p, f, (w,) = case
+    residues = _Residues(f, p)
+    step = residues.apply(w, residues.frobenius(residues.x_power(p)))
+    assert trim(step) == reference_powmod(trim(list(w)), p, f, p)
 
 
 @DETERMINISTIC

@@ -9,7 +9,7 @@ import pytest
 from cubegal.polyq import (PolyQ, compose, discriminant, exact_str, load_poly,
                            poly_from_json, resultant, trinomial_disc, trinomial_poly)
 from cubegal.theorems import rubik_f
-from reference import evaluate, poly_to_json, save_poly
+from reference import evaluate, fraction_compose, poly_to_json, save_poly
 
 
 def sylvester_resultant(f, g):
@@ -141,6 +141,22 @@ def test_compose_is_the_homogenized_substitution():
         want = evaluate(b, x) ** p.degree * evaluate(p, evaluate(a, x) / evaluate(b, x))
         assert evaluate(compose(p, a, b), x) == want
         assert compose(p, PolyQ.from_coeffs([0, 1]), PolyQ.one()) == p
+
+    check()
+
+
+def test_compose_equals_the_fraction_horner():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    # built from integer pairs: st.fractions draws about four times slower
+    fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    polys = st.lists(fractions, max_size=7).map(PolyQ.from_coeffs)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(polys, polys, polys)
+    def check(p, a, b):
+        assert compose(p, a, b) == fraction_compose(p, a, b)
 
     check()
 
